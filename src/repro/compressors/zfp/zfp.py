@@ -33,7 +33,7 @@ from repro.compressors.base import (
     PrecisionBound,
     RateBound,
 )
-from repro.compressors.zfp.embedded import decode_blocks, encode_blocks, expand_fixed_rate
+from repro.compressors.zfp.embedded import decode_blocks, encode_blocks
 from repro.compressors.zfp.fixedpoint import (
     EMPTY_EMAX,
     block_exponents,
@@ -45,6 +45,7 @@ from repro.compressors.zfp.fixedpoint import (
 )
 from repro.compressors.zfp.transform import fwd_xform, inv_xform, sequency_order
 from repro.encoding import deflate, inflate
+from repro.observe.events import emit as _emit_event
 from repro.observe.tracer import span
 from repro.utils.blocking import block_merge, block_partition
 
@@ -96,6 +97,37 @@ class ZFPCompressor(Compressor):
     # -- compression -------------------------------------------------------
 
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:
+        return self._compress_impl(data, bound, verified=False)[0]
+
+    def compress_verified(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
+        """Compress and return the decoder's exact output without decoding.
+
+        In accuracy and precision modes a block's stream holds its top
+        ``nplanes`` bit planes in full, so the decoder's coefficients are
+        the encoder's masked to those planes, and :meth:`_reconstruct` (the
+        tail ``decompress`` shares) turns them into ``decompress(blob)``
+        bit for bit.  Fixed rate cuts blocks mid-plane: it round-trips.
+        """
+        if self.mode == "rate":
+            return super().compress_verified(data, bound)
+        # Mirrors the automatic `compress` span so traces look the same
+        # whichever entry point a wrapper uses.
+        with span("compress", codec=self.name) as sp:
+            blob, recon = self._compress_impl(data, bound, verified=True)
+            sp.add_bytes(in_=getattr(data, "nbytes", 0), out=len(blob))
+            _emit_event(
+                "compress",
+                span=sp,
+                codec=self.name,
+                bytes_in=getattr(data, "nbytes", 0),
+                bytes_out=len(blob),
+            )
+        return blob, recon
+
+    def _compress_impl(
+        self, data: np.ndarray, bound: ErrorBound, verified: bool
+    ) -> tuple[bytes, np.ndarray | None]:
+        """``(blob, decoder output if verified else None)``."""
         self._check_bound(bound)
         data = self._check_input(data)
         ndim = data.ndim
@@ -131,7 +163,12 @@ class ZFPCompressor(Compressor):
             box.put("payload", payload)
             blob = box.to_bytes()
             sp.add_bytes(out=len(blob))
-        return blob
+        if not verified:
+            return blob, None
+        # What the decoder recovers: each block's top nplanes bit planes.
+        low_planes = (np.uint64(1) << (intprec - nplanes).astype(np.uint64)) - np.uint64(1)
+        nb &= (np.uint64((1 << intprec) - 1) ^ low_planes)[:, None]
+        return blob, self._reconstruct(nb, emax, intprec, padded_shape, data.shape, data.dtype)
 
     # -- decompression -----------------------------------------------------
 
@@ -151,7 +188,7 @@ class ZFPCompressor(Compressor):
             if emax.size != lens.size:
                 raise ValueError("corrupt ZFP stream: block table size mismatch")
 
-            payload = box.get("payload")
+            maxbits = None
             if self.mode == "accuracy":
                 nplanes = planes_for_tolerance(emax, param, ndim, intprec)
             elif self.mode == "precision":
@@ -159,11 +196,13 @@ class ZFPCompressor(Compressor):
             else:
                 nplanes = np.where(emax == EMPTY_EMAX, 0, intprec)
                 maxbits = max(1, round(param * ncoef))
-                payload, lens = expand_fixed_rate(
-                    payload, lens.size, maxbits, nplanes, ncoef
-                )
+            nb = decode_blocks(box.get("payload"), lens, nplanes, intprec, ncoef, maxbits=maxbits)
+        return self._reconstruct(nb, emax, intprec, padded_shape, shape, dtype)
 
-            nb = decode_blocks(payload, lens, nplanes, intprec, ncoef)
+    @staticmethod
+    def _reconstruct(nb, emax, intprec, padded_shape, shape, dtype) -> np.ndarray:
+        """Decoded negabinary coefficients -> the output array."""
+        ndim = len(shape)
         with span("inverse-transform"):
             _, inv_perm = sequency_order(ndim)
             coeffs = negabinary_decode(nb)[:, inv_perm]
