@@ -112,6 +112,8 @@ class Container:
         #: CRCs recorded while parsing a v2 stream, for per-section
         #: re-verification (see :meth:`check_section`).
         self._section_crcs: dict[str, int] = {}
+        #: Payload offsets within the parsed bytes (see :meth:`scan_checksums`).
+        self._section_offsets: dict[str, int] = {}
         #: Key of the section whose payload was cut short during a
         #: ``partial=True`` parse, if any.
         self.truncated_key: str | None = None
@@ -226,6 +228,27 @@ class Container:
         if recorded is None:
             return True
         return crc32c(self.get(key)) == recorded
+
+    def scan_checksums(self, data: bytes) -> tuple[int, list[str]]:
+        """``(stream CRC, damaged section keys)`` of the v2 bytes parsed.
+
+        ``data`` is the complete stream this container was parsed from.
+        Every byte is hashed once: framing directly, each payload through
+        its own CRC (checked against the recorded one) folded in with
+        :func:`crc32c_combine`, instead of a whole-stream pass plus a pass
+        per section.  The stream CRC covers ``data`` minus its 4-byte
+        trailer, as :meth:`from_bytes` checks it.
+        """
+        view = memoryview(data)
+        crc, pos, damaged = 0, 0, []
+        for key, payload in self._sections.items():
+            start = self._section_offsets[key]
+            sec_crc = crc32c(payload)
+            if sec_crc != self._section_crcs[key]:
+                damaged.append(key)
+            crc = crc32c_combine(crc32c(view[pos:start], crc), sec_crc, len(payload))
+            pos = start + len(payload)
+        return crc32c(view[pos : len(data) - _CRC_BYTES], crc), damaged
 
     # -- serialization -----------------------------------------------------
 
@@ -347,9 +370,11 @@ class Container:
     def _parse_body(
         cls, data: bytes, version: int, body_end: int, partial: bool
     ) -> "Container":
+        body = memoryview(data)[:body_end]
+
         def varint(pos: int) -> tuple[int, int]:
             try:
-                return read_varint(data[:body_end], pos)
+                return read_varint(body, pos)
             except ValueError as exc:
                 raise TruncatedStreamError(str(exc)) from None
 
@@ -384,6 +409,7 @@ class Container:
                         out.truncated_key = key
                         return out
                     raise TruncatedStreamError(f"truncated section {key!r}")
+                out._section_offsets[key] = pos
                 out.put(key, data[pos : pos + n])
                 pos += n
                 if version >= 2:

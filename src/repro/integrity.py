@@ -35,7 +35,6 @@ from repro.encoding.container import (
     ContainerError,
     StreamError,
 )
-from repro.encoding.crc import crc32c
 from repro.encoding.rs import (
     MAX_GROUP_BLOCKS,
     InsufficientParityError,
@@ -239,15 +238,13 @@ def verify_stream(blob: bytes) -> VerifyReport:
 
     if box.checksummed:
         (stored,) = struct.unpack("<I", blob[-_CRC_BYTES:])
-        actual = crc32c(blob[:-_CRC_BYTES])
+        actual, damaged = box.scan_checksums(blob)
         if stored != actual:
             problems.append(
                 f"stream checksum mismatch: stored {stored:#010x}, "
                 f"computed {actual:#010x}"
             )
-        for key in box.keys():
-            if not box.check_section(key):
-                problems.append(f"section {key!r}: payload checksum mismatch")
+        problems.extend(f"section {key!r}: payload checksum mismatch" for key in damaged)
     else:
         notes.append("v1 stream: carries no checksums, integrity not verifiable")
 

@@ -119,3 +119,48 @@ class TestCorruption:
         box = Container("T")
         box.put("a", b"abc")
         assert box.nbytes == len(box.to_bytes())
+
+
+class TestScanChecksums:
+    """One pass yields the whole-stream CRC and the damaged sections."""
+
+    @staticmethod
+    def blob():
+        box = Container("T")
+        box.put("small", b"xy")
+        box.put("empty", b"")
+        box.put("big", np.arange(5000, dtype=np.uint32).tobytes())
+        box.put("tail", b"0123456789" * 10)
+        return box.to_bytes()
+
+    def test_clean_stream_matches_direct_crc(self):
+        from repro.encoding.crc import crc32c
+
+        blob = self.blob()
+        crc, damaged = Container.from_bytes(blob).scan_checksums(blob)
+        assert crc == crc32c(blob[:-4])
+        assert damaged == []
+
+    def test_damaged_section_is_named(self):
+        from repro.encoding.crc import crc32c
+
+        blob = bytearray(self.blob())
+        box = Container.from_bytes(bytes(blob))
+        big = box.get("big")
+        at = bytes(blob).index(big) + 1234
+        blob[at] ^= 0x10
+        damaged_box = Container.from_bytes(bytes(blob), verify_checksums=False)
+        crc, damaged = damaged_box.scan_checksums(bytes(blob))
+        assert damaged == ["big"]
+        assert crc == crc32c(bytes(blob[:-4]))
+
+    def test_every_byte_hashed_once(self, monkeypatch):
+        from repro.encoding import container
+
+        blob = self.blob()
+        box = Container.from_bytes(blob)
+        hashed = []
+        real = container.crc32c
+        monkeypatch.setattr(container, "crc32c", lambda d, v=0: hashed.append(len(d)) or real(d, v))
+        box.scan_checksums(blob)
+        assert sum(hashed) == len(blob) - 4
