@@ -62,18 +62,14 @@ def decompress_dataset(blob: bytes) -> dict[str, np.ndarray]:
 
 def archive_manifest(blob: bytes) -> dict[str, dict]:
     """Per-field codec/shape/size summary without decompressing."""
-    box = Container.from_bytes(blob)
-    if box.codec != _CODEC:
-        raise ValueError(f"not an archive stream (codec {box.codec!r})")
-    manifest: dict[str, dict] = {}
-    for key in box.keys():
-        if not key.startswith("field:"):
-            continue
-        inner = Container.from_bytes(box.get(key))
-        manifest[key[len("field:"):]] = {
-            "codec": inner.codec,
-            "shape": inner.get_shape("shape"),
-            "dtype": inner.get_dtype("dtype").name,
-            "nbytes": len(box.get(key)),
-        }
-    return manifest
+    from repro.stream import parse_stream
+
+    model = parse_stream(blob)
+    model.raise_defects()
+    if model.codec != _CODEC:
+        raise ValueError(f"not an archive stream (codec {model.codec!r})")
+    return {
+        name: {"codec": f.codec, "shape": f.shape, "dtype": getattr(f.dtype, "name", None),
+               "nbytes": f.nbytes}
+        for name, f in model.fields.items()
+    }

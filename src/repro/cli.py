@@ -51,7 +51,6 @@ import numpy as np
 
 from repro import (
     AbsoluteBound,
-    Container,
     PrecisionBound,
     RelativeBound,
     StreamError,
@@ -314,60 +313,50 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from repro.observe.quality import byte_tree, section_kind_map
+    from repro.stream import parse_stream
+
     blob = _read_blob(args.input)
-    box = Container.from_bytes(blob)
-    print(f"codec:  {box.codec}")
-    print(f"shape:  {box.get_shape('shape')}")
-    print(f"dtype:  {box.get_dtype('dtype').name}")
+    model = parse_stream(blob)
+    model.raise_defects()
+    print(f"codec:  {model.codec}")
+    if model.shape is not None:
+        print(f"shape:  {model.shape}")
+    if model.dtype is not None:
+        print(f"dtype:  {model.dtype.name}")
     print(f"bytes:  {len(blob)}")
-    print(f"format: v{box.version}" + (" (checksummed)" if box.checksummed else ""))
-    if box.codec == "SAFE":
-        specs = box.get_str("safeguards")
-        print(f"inner:  {box.get_str('inner_codec')}")
-        print(f"safeguards: {specs.replace(';', '; ') if specs else '(none)'}")
-        print(f"patched: {box.get_u64('n_patch')} point(s)")
-    if box.codec == "CHUNKED":
-        print(f"inner:  {box.get_str('inner_codec')}")
-        print(f"chunks: {box.get_u64('n_chunks')}")
-        if "ladder" in box:
-            print(f"ladder: {box.get_str('ladder')}")
-        if "chunk_codecs" in box:
-            from collections import Counter
-
-            codecs = box.get_str("chunk_codecs").split(";")
-            mix = Counter(codecs)
-            primary = (
-                box.get_str("ladder").split(">") if "ladder" in box else codecs
-            )[0]
-            degraded = sum(n for c, n in mix.items() if c != primary)
-            parts = ", ".join(f"{n}x {c}" for c, n in sorted(mix.items()))
-            print(f"codec mix: {parts}"
-                  + (f" ({degraded} chunk(s) fell back)" if degraded else ""))
-        if "parity_k" in box:
-            print(
-                f"parity: k={box.get_u64('parity_k')} per group of "
-                f"{box.get_u64('group_size')} "
-                f"({len(box.get('parity'))} parity bytes)"
-            )
-    kinds: dict[str, str] = {}
-    overhead = None
-    try:
-        from repro.observe.quality import attribute_bytes, section_kind_map
-
-        tree = attribute_bytes(blob)
-        kinds = section_kind_map(tree)
-        totals = tree.kind_totals()
-        overhead = totals.get("framing", 0) + totals.get("checksum", 0)
-    except Exception:  # noqa: BLE001 - attribution is descriptive, never fatal
-        pass
-    for key in box.keys():
-        line = f"  section {key:12s} {len(box.get(key)):10d} B"
+    print(f"format: v{model.version}" + (" (checksummed)" if model.checksummed else ""))
+    if model.inner_codec is not None:
+        print(f"inner:  {model.inner_codec}")
+    if model.safeguards is not None:
+        print(f"safeguards: {'; '.join(model.safeguards) or '(none)'}")
+        print(f"patched: {model.patched} point(s)")
+    if model.n_chunks is not None:
+        print(f"chunks: {model.n_chunks}")
+    if model.ladder is not None:
+        print(f"ladder: {model.ladder}")
+    if model.codec_mix is not None:
+        parts = ", ".join(f"{n}x {c}" for c, n in sorted(model.codec_mix.items()))
+        print(f"codec mix: {parts}"
+              + (f" ({model.degraded} chunk(s) fell back)" if model.degraded else ""))
+    if model.parity is not None:
+        print(
+            f"parity: k={model.parity.k} per group of {model.parity.group_size} "
+            f"({model.parity.nbytes} parity bytes)"
+        )
+    for name, f in (model.fields or {}).items():
+        print(f"field {name}: {f.codec} {f.shape} {getattr(f.dtype, 'name', '?')}, {f.nbytes} B")
+    tree = byte_tree(model)
+    kinds = section_kind_map(tree)
+    for key, sec in model.sections.items():
+        line = f"  section {key:12s} {sec.nbytes:10d} B"
         if key in kinds:
             line += f"  [{kinds[key]}]"
         print(line)
-    if overhead is not None:
-        print(f"container overhead: {overhead} B framing+CRC "
-              f"({100.0 * overhead / len(blob):.2f}%)")
+    totals = tree.kind_totals()
+    overhead = totals.get("framing", 0) + totals.get("checksum", 0)
+    print(f"container overhead: {overhead} B framing+CRC "
+          f"({100.0 * overhead / len(blob):.2f}%)")
     return 0
 
 

@@ -154,50 +154,30 @@ def _translate_decode_errors(fn):
     return wrapper
 
 
-def _traced_compress(fn):
-    """Wrap a ``compress`` in a ``compress`` span carrying codec + bytes."""
+def _nbytes(obj) -> int:
+    size = getattr(obj, "nbytes", None)
+    return len(obj) if size is None else size
+
+
+def _traced(fn, method: str):
+    """Wrap ``compress``, ``compress_verified`` (returns ``(blob, recon)``)
+    or ``decompress`` in a ``compress``/``decompress`` span carrying codec +
+    bytes, and emit the event of the same name."""
+    op = "decompress" if method == "decompress" else "compress"
 
     @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
+    def wrapper(self, given, *args, **kwargs):
         if not _get_tracer().enabled and _get_event_log() is None:
             # No-op fast path: with tracing off and no event sink there is
             # nothing to record -- skip span/event setup entirely so the
             # disabled wrapper allocates nothing per call.
-            return fn(self, *args, **kwargs)
-        with _span("compress", codec=self.name) as sp:
-            blob = fn(self, *args, **kwargs)
-            data = args[0] if args else kwargs.get("data")
-            sp.add_bytes(in_=getattr(data, "nbytes", 0), out=len(blob))
-            _emit_event(
-                "compress",
-                span=sp,
-                codec=self.name,
-                bytes_in=getattr(data, "nbytes", 0),
-                bytes_out=len(blob),
-            )
-        return blob
-
-    wrapper.__trace_wrapped__ = True
-    return wrapper
-
-
-def _traced_decompress(fn):
-    """Wrap a ``decompress`` in a ``decompress`` span carrying codec + bytes."""
-
-    @functools.wraps(fn)
-    def wrapper(self, blob, *args, **kwargs):
-        if not _get_tracer().enabled and _get_event_log() is None:
-            return fn(self, blob, *args, **kwargs)
-        with _span("decompress", codec=self.name) as sp:
-            out = fn(self, blob, *args, **kwargs)
-            sp.add_bytes(in_=len(blob), out=getattr(out, "nbytes", 0))
-            _emit_event(
-                "decompress",
-                span=sp,
-                codec=self.name,
-                bytes_in=len(blob),
-                bytes_out=getattr(out, "nbytes", 0),
-            )
+            return fn(self, given, *args, **kwargs)
+        with _span(op, codec=self.name) as sp:
+            out = fn(self, given, *args, **kwargs)
+            size_in = _nbytes(given)
+            size_out = _nbytes(out[0] if method == "compress_verified" else out)
+            sp.add_bytes(in_=size_in, out=size_out)
+            _emit_event(op, span=sp, codec=self.name, bytes_in=size_in, bytes_out=size_out)
         return out
 
     wrapper.__trace_wrapped__ = True
@@ -234,15 +214,12 @@ class Compressor(abc.ABC):
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         fn = cls.__dict__.get("decompress")
-        if fn is not None:
-            if not getattr(fn, "__decode_guard__", False):
-                fn = _translate_decode_errors(fn)
-            if not getattr(fn, "__trace_wrapped__", False):
-                fn = _traced_decompress(fn)
-            cls.decompress = fn
-        fn = cls.__dict__.get("compress")
-        if fn is not None and not getattr(fn, "__trace_wrapped__", False):
-            cls.compress = _traced_compress(fn)
+        if fn is not None and not getattr(fn, "__decode_guard__", False):
+            cls.decompress = _translate_decode_errors(fn)
+        for method in ("compress", "compress_verified", "decompress"):
+            fn = cls.__dict__.get(method)
+            if fn is not None and not getattr(fn, "__trace_wrapped__", False):
+                setattr(cls, method, _traced(fn, method))
 
     @abc.abstractmethod
     def compress(self, data: np.ndarray, bound: ErrorBound) -> bytes:

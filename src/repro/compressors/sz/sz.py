@@ -35,7 +35,6 @@ from repro.encoding import (
     zigzag_encode,
 )
 from repro.encoding.container import Container
-from repro.observe.events import emit as _emit_event
 from repro.observe.tracer import span
 from repro.safeguards.engine import (
     compute_patch_channel,
@@ -94,19 +93,7 @@ class SZCompressor(Compressor):
         return self._compress_impl(data, bound)[0]
 
     def compress_verified(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
-        # Mirrors the automatic `compress` span so traces look the same
-        # whichever entry point a wrapper uses.
-        with span("compress", codec=self.name) as sp:
-            blob, recon = self._compress_impl(data, bound)
-            sp.add_bytes(in_=getattr(data, "nbytes", 0), out=len(blob))
-            _emit_event(
-                "compress",
-                span=sp,
-                codec=self.name,
-                bytes_in=getattr(data, "nbytes", 0),
-                bytes_out=len(blob),
-            )
-        return blob, recon
+        return self._compress_impl(data, bound)
 
     def _compress_impl(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
         """Shared pipeline; returns ``(blob, exact decoder output)``."""

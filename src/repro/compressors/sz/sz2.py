@@ -37,8 +37,6 @@ from repro.compressors.sz.quantizer import (
 )
 from repro.compressors.sz.sz import DEFAULT_RADIUS
 from repro.encoding import HuffmanCodec, deflate, inflate, zigzag_decode, zigzag_encode
-from repro.observe.events import emit as _emit_event
-from repro.observe.tracer import span as _span
 from repro.utils.blocking import block_merge, block_partition
 
 __all__ = ["SZ2Compressor", "DEFAULT_EDGES"]
@@ -84,19 +82,7 @@ class SZ2Compressor(Compressor):
         return self._compress_impl(data, bound)[0]
 
     def compress_verified(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
-        # Mirrors the automatic `compress` span so traces look the same
-        # whichever entry point a wrapper uses.
-        with _span("compress", codec=self.name) as sp:
-            blob, recon = self._compress_impl(data, bound)
-            sp.add_bytes(in_=getattr(data, "nbytes", 0), out=len(blob))
-            _emit_event(
-                "compress",
-                span=sp,
-                codec=self.name,
-                bytes_in=getattr(data, "nbytes", 0),
-                bytes_out=len(blob),
-            )
-        return blob, recon
+        return self._compress_impl(data, bound)
 
     def _compress_impl(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
         """Shared pipeline; returns ``(blob, exact decoder output)``."""

@@ -41,10 +41,10 @@ import numpy as np
 
 from repro.compressors.base import Compressor, ErrorBound, RelativeBound
 from repro.encoding.container import (
-    ChecksumError,
     Container,
     ContainerError,
     StreamError,
+    peek_codec,
 )
 from repro.encoding.rs import MAX_GROUP_BLOCKS, encode_parity
 from repro.observe.events import emit as emit_event
@@ -59,6 +59,7 @@ from repro.resilience.policy import (
 from repro.observe.metrics import metrics
 from repro.observe.propagate import absorb, run_traced
 from repro.observe.tracer import current_span, span
+from repro.stream import ChunkRecord, parse_stream, read_chunk_table
 from repro.utils.blocking import chunk_spans
 
 __all__ = [
@@ -728,7 +729,6 @@ class ChunkedCompressor(Compressor):
 
     def _chunk_codecs(self, blobs: list[bytes]) -> list[str] | None:
         """Per-chunk winning codec names when the inner is a ladder."""
-        from repro.encoding.container import peek_codec
         from repro.resilience.ladder import DegradationLadder
 
         if not isinstance(self.inner, DegradationLadder) or not blobs:
@@ -797,44 +797,15 @@ class ChunkedCompressor(Compressor):
 
     # -- decompression -------------------------------------------------------
 
-    @staticmethod
-    def _read_chunk_table(
-        box: Container, shape: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validated (offs, lens, elems) of a CHUNKED container.
-
-        Raises :class:`ContainerError` on any internal inconsistency;
-        ``payload`` length is *not* checked here so the partial-recovery
-        path can work on truncated payloads.
-        """
-        n = box.get_u64("n_chunks")
-        offs = box.get_array("offs").astype(np.int64)
-        lens = box.get_array("lens").astype(np.int64)
-        elems = box.get_array("elems").astype(np.int64)
-        if not (offs.size == lens.size == elems.size == n):
-            raise ContainerError("corrupt CHUNKED stream: chunk table size mismatch")
-        if n and (
-            (lens < 0).any()
-            or (offs != np.concatenate([[0], np.cumsum(lens)[:-1]])).any()
-        ):
-            raise ContainerError("corrupt CHUNKED stream: offsets not cumulative")
-        if (elems <= 0).any() or int(elems.sum()) != math.prod(shape):
-            raise ContainerError("corrupt CHUNKED stream: element count mismatch")
-        return offs, lens, elems
-
     def decompress(self, blob: bytes) -> np.ndarray:
         self._job_started = time.perf_counter()
-        codec = Container.from_bytes(blob).codec
-        if codec != self.name:
+        if peek_codec(blob) != self.name:
             # v1 (monolithic) stream: dispatch to its own codec unchanged.
             return _decompress_chunk(blob)
         box, shape, dtype = self._open_container(blob, self.name)
-        n = box.get_u64("n_chunks")
-        if n == 0:
-            if math.prod(shape) != 0:
-                raise ContainerError("corrupt CHUNKED stream: no chunks for non-empty shape")
+        offs, lens, elems = read_chunk_table(box, shape)
+        if not offs.size:
             return np.zeros(shape, dtype=dtype)
-        offs, lens, elems = self._read_chunk_table(box, shape)
         payload = box.get("payload")
         if offs[-1] + lens[-1] != len(payload):
             raise ContainerError("corrupt CHUNKED stream: payload length mismatch")
@@ -865,27 +836,18 @@ class ChunkedCompressor(Compressor):
         """
         fill_value = _fill_scalar(fill)
         fill_mode = fill if isinstance(fill, str) else repr(float(fill))
-        box = Container.from_bytes(blob, verify_checksums=False, partial=True)
-        if box.codec != self.name:
+        model = parse_stream(blob)
+        if model.codec is not None and model.codec != self.name:
             raise ContainerError(
-                f"stream was produced by {box.codec!r}, expected {self.name!r}"
+                f"stream was produced by {model.codec!r}, expected {self.name!r}"
             )
-        # The metadata sections must be individually intact; their CRCs
-        # are still trustworthy even when the stream CRC is not.
-        for key in ("dtype", "shape", "inner_codec", "n_chunks", "offs", "lens", "elems"):
-            if key in box and not box.check_section(key):
-                raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
-        shape = box.get_shape("shape")
-        dtype = box.get_dtype("dtype")
+        error = model.geometry_error()
+        if error is not None:
+            raise error
+        shape, dtype = model.shape, model.dtype
         total = math.prod(shape)
-        n = box.get_u64("n_chunks")
-        if n == 0:
-            if total != 0:
-                raise ContainerError("corrupt CHUNKED stream: no chunks for non-empty shape")
-            return np.zeros(shape, dtype=dtype), RecoveryReport(0, 0, fill_mode=fill_mode)
-        offs, lens, elems = self._read_chunk_table(box, shape)
         repaired: tuple[int, ...] = ()
-        if repair and "parity_k" in box:
+        if repair and model.parity is not None:
             from repro.integrity import repair_stream
 
             try:
@@ -894,21 +856,18 @@ class ChunkedCompressor(Compressor):
                 pass  # parity metadata itself damaged: recover unrepaired
             else:
                 if rep.repaired:
-                    blob = fixed
+                    model = parse_stream(fixed)
                     repaired = rep.repaired
-                    box = Container.from_bytes(
-                        blob, verify_checksums=False, partial=True
-                    )
-        payload = box.get("payload") if "payload" in box else b""
+        elems = [rec.elems for rec in model.chunks]
         starts = np.concatenate([[0], np.cumsum(elems)])
         out = np.full(total, fill_value, dtype=dtype)
         failures: list[ChunkFailure] = []
-        for i, (o, ln) in enumerate(zip(offs, lens)):
+        for i, rec in enumerate(model.chunks):
             chunk_span = (int(starts[i]), int(starts[i + 1]))
             try:
-                if o + ln > len(payload):
+                if rec.stream is None:
                     raise ContainerError("chunk bytes missing (truncated payload)")
-                part = _decompress_chunk(payload[o : o + ln])
+                part = _decompress_chunk(rec.stream.blob)
                 if part.size != elems[i]:
                     raise ContainerError("chunk decoded to the wrong element count")
                 out[chunk_span[0] : chunk_span[1]] = part.ravel().astype(dtype, copy=False)
@@ -917,33 +876,31 @@ class ChunkedCompressor(Compressor):
         if fill == "nearest" and failures:
             _apply_nearest_fill(out, [f.span for f in failures])
         return out.reshape(shape), RecoveryReport(
-            int(n), total, tuple(failures), fill_mode=fill_mode, repaired_chunks=repaired
+            len(elems), total, tuple(failures), fill_mode=fill_mode, repaired_chunks=repaired
         )
 
 
 # -- stream introspection ----------------------------------------------------
 
 
+def _chunk_records(blob: bytes) -> tuple[ChunkRecord, ...]:
+    """Chunk table of an intact CHUNKED blob, from its stream model."""
+    model = parse_stream(blob)
+    model.raise_defects()
+    if model.codec != ChunkedCompressor.name:
+        raise ValueError(f"stream was produced by {model.codec!r}, expected 'CHUNKED'")
+    return model.chunks
+
+
 def iter_chunk_blobs(blob: bytes) -> Iterator[bytes]:
     """Yield the complete per-chunk container streams of a CHUNKED blob."""
-    box = Container.from_bytes(blob)
-    if box.codec != ChunkedCompressor.name:
-        raise ValueError(f"stream was produced by {box.codec!r}, expected 'CHUNKED'")
-    offs = box.get_array("offs").astype(np.int64)
-    lens = box.get_array("lens").astype(np.int64)
-    payload = box.get("payload")
-    for o, ln in zip(offs, lens):
-        yield payload[o : o + ln]
+    for rec in _chunk_records(blob):
+        yield rec.stream.blob if rec.stream is not None else b""
 
 
 def chunk_patch_total(blob: bytes) -> int:
     """Sum of per-chunk patch-channel sizes (0 = Lemma 2 held everywhere)."""
-    total = 0
-    for chunk in iter_chunk_blobs(blob):
-        box = Container.from_bytes(chunk)
-        if "n_patch" in box:
-            total += box.get_u64("n_patch")
-    return total
+    return sum(rec.stream.patched or 0 for rec in _chunk_records(blob) if rec.stream)
 
 
 # -- damage-tolerant loading -------------------------------------------------

@@ -125,9 +125,7 @@ class TransformedCompressor(Compressor):
         default would run is pure waste.  Wrappers like the safeguards
         adapter rely on this to keep compliant-codec overhead near zero.
         """
-        with span("compress", codec=self.name) as sp:
-            blob, final = self._compress_impl(data, bound)
-            sp.add_bytes(in_=getattr(data, "nbytes", 0), out=len(blob))
+        blob, final = self._compress_impl(data, bound)
         if final is None:
             return blob, self.decompress(blob)
         return blob, final

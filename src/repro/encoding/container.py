@@ -109,14 +109,10 @@ class Container:
         #: Format version this container was parsed from (or will be
         #: written as).  Version 1 streams carry no checksums.
         self.version = _VERSION
-        #: CRCs recorded while parsing a v2 stream, for per-section
-        #: re-verification (see :meth:`check_section`).
+        #: CRCs and payload offsets recorded while parsing a v2 stream
+        #: (see :meth:`scan_checksums`).
         self._section_crcs: dict[str, int] = {}
-        #: Payload offsets within the parsed bytes (see :meth:`scan_checksums`).
         self._section_offsets: dict[str, int] = {}
-        #: Key of the section whose payload was cut short during a
-        #: ``partial=True`` parse, if any.
-        self.truncated_key: str | None = None
 
     # -- raw sections ------------------------------------------------------
 
@@ -146,36 +142,50 @@ class Container:
         self.put(key, struct.pack("<Q", value))
 
     def get_u64(self, key: str) -> int:
-        return struct.unpack("<Q", self.get(key))[0]
+        return self._unpack(key, "<Q")
 
     def put_i64(self, key: str, value: int) -> None:
         self.put(key, struct.pack("<q", value))
 
     def get_i64(self, key: str) -> int:
-        return struct.unpack("<q", self.get(key))[0]
+        return self._unpack(key, "<q")
 
     def put_f64(self, key: str, value: float) -> None:
         self.put(key, struct.pack("<d", value))
 
     def get_f64(self, key: str) -> float:
-        return struct.unpack("<d", self.get(key))[0]
+        return self._unpack(key, "<d")
+
+    def _unpack(self, key: str, fmt: str):
+        data = self.get(key)
+        if len(data) != struct.calcsize(fmt):
+            raise ContainerError(
+                f"section {key!r} holds {len(data)} bytes, expected {struct.calcsize(fmt)}"
+            )
+        return struct.unpack(fmt, data)[0]
 
     def put_str(self, key: str, value: str) -> None:
         self.put(key, value.encode("utf-8"))
 
     def get_str(self, key: str) -> str:
-        return self.get(key).decode("utf-8")
+        try:
+            return self.get(key).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"section {key!r} is not UTF-8 text: {exc}") from None
 
     def put_shape(self, key: str, shape: tuple[int, ...]) -> None:
         self.put(key, b"".join(write_varint(d) for d in (len(shape), *shape)))
 
     def get_shape(self, key: str) -> tuple[int, ...]:
         data = self.get(key)
-        ndim, pos = read_varint(data)
-        dims = []
-        for _ in range(ndim):
-            d, pos = read_varint(data, pos)
-            dims.append(d)
+        try:
+            ndim, pos = read_varint(data)
+            dims = []
+            for _ in range(ndim):
+                d, pos = read_varint(data, pos)
+                dims.append(d)
+        except ValueError as exc:
+            raise ContainerError(f"corrupt section {key!r}: {exc}") from None
         return tuple(dims)
 
     def put_dtype(self, key: str, dtype: np.dtype) -> None:
@@ -214,20 +224,6 @@ class Container:
     def checksummed(self) -> bool:
         """True when this container carries (or will be written with) CRCs."""
         return self.version >= 2
-
-    def check_section(self, key: str) -> bool:
-        """Re-verify one section against the CRC recorded at parse time.
-
-        Returns True for sections of v1 streams (no checksum to check) and
-        for sections added locally after parsing.  Used by partial-recovery
-        paths to localize damage without trusting the whole-stream CRC.
-        """
-        if key == self.truncated_key:
-            return False
-        recorded = self._section_crcs.get(key)
-        if recorded is None:
-            return True
-        return crc32c(self.get(key)) == recorded
 
     def scan_checksums(self, data: bytes) -> tuple[int, list[str]]:
         """``(stream CRC, damaged section keys)`` of the v2 bytes parsed.
@@ -321,7 +317,7 @@ class Container:
         have no checksums and skip the check.  ``partial=True`` is the
         damage-tolerant mode used for recovery: checksums are not enforced,
         parsing keeps whatever sections (or section prefix) the bytes still
-        contain, and the cut section is flagged in ``truncated_key``.
+        contain.
         """
         if len(data) < 5:
             if data[: len(data)] == _MAGIC[: len(data)]:
@@ -406,7 +402,6 @@ class Container:
                         # Mid-write cut: keep the readable payload prefix so
                         # chunk-level recovery can salvage what is intact.
                         out.put(key, data[pos:])
-                        out.truncated_key = key
                         return out
                     raise TruncatedStreamError(f"truncated section {key!r}")
                 out._section_offsets[key] = pos
@@ -415,7 +410,6 @@ class Container:
                 if version >= 2:
                     if pos + _CRC_BYTES > len(data):
                         if partial:
-                            out.truncated_key = key
                             return out
                         raise TruncatedStreamError(f"truncated checksum of {key!r}")
                     (out._section_crcs[key],) = struct.unpack(
@@ -470,21 +464,11 @@ def section_byte_ranges(data: bytes) -> dict[str, tuple[int, int]]:
     """Byte range ``[start, stop)`` of every section payload in ``data``.
 
     Fault injectors use this to aim corruption at a named section of a
-    serialized stream; ``repro.integrity`` uses it to localize damage.
+    serialized stream.  A view of :func:`repro.stream.parse_stream`;
+    raises :class:`StreamError` when the framing itself is unreadable.
     """
-    box = Container.from_bytes(data, verify_checksums=False)
-    ranges: dict[str, tuple[int, int]] = {}
-    pos = 5
-    n, pos = read_varint(data, pos)
-    pos += n  # codec
-    nsec, pos = read_varint(data, pos)
-    for _ in range(nsec):
-        n, pos = read_varint(data, pos)
-        key = data[pos : pos + n].decode("utf-8")
-        pos += n
-        n, pos = read_varint(data, pos)
-        ranges[key] = (pos, pos + n)
-        pos += n
-        if box.version >= 2:
-            pos += _CRC_BYTES
-    return ranges
+    from repro.stream import parse_stream
+
+    model = parse_stream(data)
+    model.raise_defects(checksums=False)
+    return {key: (s.payload_start, s.payload_stop) for key, s in model.sections.items()}

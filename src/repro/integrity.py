@@ -21,22 +21,12 @@ itself unreadable -- without it there is nothing to repair against.
 
 from __future__ import annotations
 
-import math
-import struct
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
-from repro.encoding.container import (
-    ChecksumError,
-    Container,
-    ContainerError,
-    StreamError,
-)
+from repro.encoding.container import Container, ContainerError
 from repro.encoding.rs import (
-    MAX_GROUP_BLOCKS,
     InsufficientParityError,
     decode_blocks,
     encode_parity,
@@ -44,6 +34,7 @@ from repro.encoding.rs import (
 from repro.observe.events import emit as emit_event
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
+from repro.stream import _parse, parse_stream
 
 __all__ = [
     "ChunkRepair",
@@ -52,17 +43,6 @@ __all__ = [
     "repair_stream",
     "verify_stream",
 ]
-
-_CRC_BYTES = 4
-
-#: CHUNKED metadata sections whose per-section CRCs must hold before any
-#: recovery or repair can be attempted.
-_CHUNKED_META = ("dtype", "shape", "inner_codec", "n_chunks", "offs", "lens", "elems")
-
-#: v3 parity metadata (the ``parity`` payload itself may be damaged --
-#: rebuilt chunks are validated by their own stream CRCs instead).
-_PARITY_META = ("parity_k", "group_size", "parity_lens")
-
 
 @dataclass
 class VerifyReport:
@@ -101,183 +81,37 @@ class VerifyReport:
         )
 
 
-def _verify_chunk_table(box: Container, blob: bytes, problems: list[str]) -> int | None:
-    """Check CHUNKED geometry + every per-chunk sub-stream. Returns n_chunks."""
-    try:
-        n = box.get_u64("n_chunks")
-        offs = box.get_array("offs").astype(np.int64)
-        lens = box.get_array("lens").astype(np.int64)
-        elems = box.get_array("elems").astype(np.int64)
-        shape = box.get_shape("shape")
-        payload = box.get("payload")
-    except StreamError as exc:
-        problems.append(f"chunk table unreadable: {exc}")
-        return None
-    if not (offs.size == lens.size == elems.size == n):
-        problems.append(
-            f"chunk table size mismatch: n_chunks={n} but "
-            f"{offs.size}/{lens.size}/{elems.size} table entries"
-        )
-        return int(n)
-    if n:
-        if (lens < 0).any() or (
-            offs != np.concatenate([[0], np.cumsum(lens)[:-1]])
-        ).any():
-            problems.append("chunk offsets are not the cumulative sum of lengths")
-        elif int(offs[-1] + lens[-1]) != len(payload):
-            problems.append(
-                f"payload holds {len(payload)} bytes but the chunk table "
-                f"spans {int(offs[-1] + lens[-1])}"
-            )
-    if (elems <= 0).any() or int(elems.sum()) != math.prod(shape):
-        problems.append(
-            f"chunk element counts sum to {int(elems.sum())}, "
-            f"shape needs {math.prod(shape)}"
-        )
-    before = len(problems)
-    for i, (o, ln) in enumerate(zip(offs, lens)):
-        if o + ln > len(payload):
-            problems.append(f"chunk {i}: bytes missing from payload")
-            continue
-        sub = verify_stream(payload[o : o + ln])
-        problems.extend(f"chunk {i}: {p}" for p in sub.problems)
-    if "parity_k" in box:
-        _verify_parity(
-            box, int(n), lens, payload, problems, chunks_ok=len(problems) == before
-        )
-    return int(n)
-
-
-def _verify_parity(
-    box: Container,
-    n: int,
-    lens: np.ndarray,
-    payload: bytes,
-    problems: list[str],
-    chunks_ok: bool,
-) -> None:
-    """Check v3 parity geometry; recompute parity when the chunks are intact."""
-    try:
-        k = box.get_u64("parity_k")
-        m = box.get_u64("group_size")
-        plens = box.get_array("parity_lens").astype(np.int64)
-        parity = box.get("parity")
-    except StreamError as exc:
-        problems.append(f"parity sections unreadable: {exc}")
-        return
-    if k < 1 or m < 1 or m + k > MAX_GROUP_BLOCKS:
-        problems.append(f"impossible parity geometry: k={k} per group of {m}")
-        return
-    n_groups = math.ceil(n / m) if n else 0
-    if plens.size != n_groups or (plens < 0).any():
-        problems.append(
-            f"parity_lens holds {plens.size} group(s), chunk table implies {n_groups}"
-        )
-        return
-    for g in range(n_groups):
-        want = int(lens[g * m : (g + 1) * m].max(initial=0))
-        if int(plens[g]) != want:
-            problems.append(
-                f"parity group {g}: block length {int(plens[g])}, "
-                f"longest member chunk is {want}"
-            )
-    expect = int(k * plens.sum())
-    if len(parity) != expect:
-        problems.append(
-            f"parity section holds {len(parity)} bytes, geometry needs {expect}"
-        )
-    elif chunks_ok and not any(p.startswith("parity") for p in problems):
-        # Chunks and geometry are intact: the parity bytes must equal a
-        # deterministic re-encode (this is the same check repair relies on).
-        offset = 0
-        for g in range(n_groups):
-            blobs = [
-                bytes(payload[int(o) : int(o) + int(ln)])
-                for o, ln in zip(
-                    np.concatenate([[0], np.cumsum(lens)])[g * m : (g + 1) * m],
-                    lens[g * m : (g + 1) * m],
-                )
-            ]
-            size = int(k * plens[g])
-            if encode_parity(blobs, int(k)) != _split_blocks(
-                parity[offset : offset + size], int(k)
-            ):
-                problems.append(f"parity group {g}: bytes do not match recomputed parity")
-            offset += size
-
-
-def _split_blocks(raw: bytes, k: int) -> list[bytes]:
-    """Cut one group's parity bytes into its ``k`` equal-length blocks."""
-    if k <= 0 or len(raw) % k:
-        return []
-    size = len(raw) // k
-    return [raw[j * size : (j + 1) * size] for j in range(k)]
-
-
 def verify_stream(blob: bytes) -> VerifyReport:
     """Verify structure and checksums of ``blob`` without decompressing.
 
-    Checks, in order: container framing parses; the v2 whole-stream CRC
-    matches; every per-section CRC matches; for ``CHUNKED`` streams the
-    chunk table is self-consistent and every per-chunk sub-stream verifies
-    in turn; for ``ARCHIVE`` streams every field's sub-stream verifies.
+    Renders the :func:`repro.stream.parse_stream` model: container framing
+    parses; the v2 whole-stream CRC matches; every per-section CRC
+    matches; for ``CHUNKED`` streams the chunk table and parity geometry
+    are self-consistent and every per-chunk sub-stream verifies in turn;
+    for ``ARCHIVE`` streams every field's sub-stream verifies.
     """
-    report = VerifyReport(nbytes=len(blob))
-    problems: list[str] = []
-    notes: list[str] = []
-
-    try:
-        box = Container.from_bytes(blob, verify_checksums=False)
-    except StreamError as exc:
-        report.problems = (f"structure: {type(exc).__name__}: {exc}",)
-        return report
-    report.codec = box.codec
-    report.version = box.version
-    report.checksummed = box.checksummed
-    report.n_sections = len(box.keys())
-
-    if box.checksummed:
-        (stored,) = struct.unpack("<I", blob[-_CRC_BYTES:])
-        actual, damaged = box.scan_checksums(blob)
-        if stored != actual:
-            problems.append(
-                f"stream checksum mismatch: stored {stored:#010x}, "
-                f"computed {actual:#010x}"
-            )
-        problems.extend(f"section {key!r}: payload checksum mismatch" for key in damaged)
-    else:
+    model = parse_stream(blob)
+    if model.error is not None:
+        return VerifyReport(nbytes=model.nbytes, problems=model.problems)
+    notes = []
+    if not model.checksummed:
         notes.append("v1 stream: carries no checksums, integrity not verifiable")
-
-    if box.codec == "CHUNKED":
-        report.n_chunks = _verify_chunk_table(box, blob, problems)
-        if "chunk_codecs" in box and box.check_section("chunk_codecs"):
-            codecs = [c for c in box.get_str("chunk_codecs").split(";") if c]
-            primary = (
-                box.get_str("ladder").split(">")
-                if "ladder" in box and box.check_section("ladder")
-                else codecs
-            )[0] if codecs else None
-            degraded = sum(1 for c in codecs if c != primary)
-            if degraded:
-                notes.append(
-                    f"{degraded} of {len(codecs)} chunk(s) were compressed by "
-                    f"a fallback rung of the codec ladder (primary {primary}); "
-                    f"bytes are intact, but see 'repro-compress explain'"
-                )
-        if "parity_k" in box and box.check_section("parity_k"):
-            notes.append(
-                f"carries Reed-Solomon parity: k={box.get_u64('parity_k')} "
-                f"per group of {box.get_u64('group_size')}"
-            )
-    elif box.codec == "ARCHIVE":
-        for key in box.keys():
-            if key.startswith("field:"):
-                sub = verify_stream(box.get(key))
-                problems.extend(f"field {key[6:]!r}: {p}" for p in sub.problems)
-
-    report.problems = tuple(problems)
-    report.notes = tuple(notes)
-    return report
+    if model.degraded:
+        notes.append(
+            f"{model.degraded} of {sum(model.codec_mix.values())} chunk(s) were "
+            f"compressed by a fallback rung of the codec ladder "
+            f"(primary {model.primary}); "
+            f"bytes are intact, but see 'repro-compress explain'"
+        )
+    if model.parity is not None:
+        notes.append(
+            f"carries Reed-Solomon parity: k={model.parity.k} "
+            f"per group of {model.parity.group_size}"
+        )
+    return VerifyReport(
+        model.nbytes, model.codec, model.version, model.checksummed,
+        len(model.sections), model.n_chunks, model.problems, tuple(notes),
+    )
 
 
 # -- repair ------------------------------------------------------------------
@@ -371,15 +205,6 @@ class RepairReport:
         return f"{head}: {verdict}"
 
 
-def _chunk_intact(chunk: bytes) -> bool:
-    """True when ``chunk`` parses as a complete, checksum-clean stream."""
-    try:
-        Container.from_bytes(chunk)
-    except StreamError:
-        return False
-    return True
-
-
 def _rebuild_group(
     group: list[bytes | None],
     parity: list[bytes | None],
@@ -403,7 +228,7 @@ def _rebuild_group(
         except (InsufficientParityError, ValueError):
             continue
         out = {i: rebuilt[i] for i in missing}
-        if all(_chunk_intact(b) for b in out.values()):
+        if all(_parse(b).intact for b in out.values()):
             return out
     return None
 
@@ -425,63 +250,40 @@ def repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
 
 def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
     t0 = time.perf_counter()
-    box = Container.from_bytes(blob, verify_checksums=False, partial=True)
-    if box.codec != "CHUNKED":
+    model = parse_stream(blob)
+    if model.codec is not None and model.codec != "CHUNKED":
         raise ContainerError(
-            f"stream was produced by {box.codec!r}; only CHUNKED streams carry parity"
+            f"stream was produced by {model.codec!r}; only CHUNKED streams carry parity"
         )
-    for key in _CHUNKED_META + _PARITY_META:
-        if key in box and not box.check_section(key):
-            raise ChecksumError(f"CHUNKED metadata section {key!r} is corrupt")
-    if "parity_k" not in box:
-        raise ContainerError("stream carries no parity sections (not a v3 record)")
-    from repro.core.chunked import ChunkedCompressor
-
-    shape = box.get_shape("shape")
-    offs, lens, elems = ChunkedCompressor._read_chunk_table(box, shape)
-    n = int(box.get_u64("n_chunks"))
-    k = int(box.get_u64("parity_k"))
-    m = int(box.get_u64("group_size"))
-    if k < 1 or m < 1 or m + k > MAX_GROUP_BLOCKS:
-        raise ContainerError(f"impossible parity geometry: k={k} per group of {m}")
-    plens = box.get_array("parity_lens").astype(np.int64)
-    n_groups = math.ceil(n / m) if n else 0
-    if plens.size != n_groups or (plens < 0).any():
-        raise ContainerError(
-            f"parity_lens holds {plens.size} group(s), chunk table implies {n_groups}"
-        )
+    error = model.geometry_error(parity=True)
+    if error is not None:
+        raise error
+    box, n = model.box, len(model.chunks)
+    k, m, plens = model.parity.k, model.parity.group_size, model.parity.lens
+    n_groups = len(plens)
     payload = box.get("payload") if "payload" in box else b""
     pbytes = box.get("parity") if "parity" in box else b""
 
     # Classify every chunk by its own bytes: present + checksum-clean, or
     # damaged (corrupt or truncated).  ``raw`` keeps the damaged bytes,
     # zero-padded to table length, for chunks nothing can rebuild.
-    chunks: list[bytes | None] = []
-    raw: list[bytes] = []
+    raw = [payload[r.offset : r.offset + r.length].ljust(r.length, b"\0") for r in model.chunks]
     damage: dict[int, str] = {}
-    for i, (o, ln) in enumerate(zip(offs.tolist(), lens.tolist())):
-        piece = bytes(payload[o : o + ln])
-        raw.append(piece.ljust(ln, b"\0"))
-        if len(piece) < ln:
-            damage[i] = "chunk bytes missing (truncated payload)"
-            chunks.append(None)
-        elif _chunk_intact(piece):
-            chunks.append(piece)
-        else:
-            damage[i] = "chunk stream failed verification"
-            chunks.append(None)
+    for rec in model.chunks:
+        if rec.stream is None:
+            damage[rec.index] = "chunk bytes missing (truncated payload)"
+        elif not rec.stream.intact:
+            damage[rec.index] = "chunk stream failed verification"
+    chunks = [None if r.index in damage else r.stream.blob for r in model.chunks]
 
     # Slice the parity payload into per-group blocks; anything not fully
     # present counts as one more erasure.
     group_parity: list[list[bytes | None]] = []
     base = 0
-    for g in range(n_groups):
-        size = int(plens[g])
-        blocks: list[bytes | None] = []
-        for _ in range(k):
-            blocks.append(bytes(pbytes[base : base + size]) if base + size <= len(pbytes) else None)
-            base += size
-        group_parity.append(blocks)
+    for size in plens:
+        ends = [base + (j + 1) * size for j in range(k)]
+        group_parity.append([pbytes[e - size : e] if e <= len(pbytes) else None for e in ends])
+        base += k * size
 
     repairs: list[ChunkRepair] = []
     for g in range(n_groups):
@@ -492,7 +294,7 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
         rebuilt = _rebuild_group(
             [chunks[i] for i in idx],
             group_parity[g],
-            [int(lens[i]) for i in idx],
+            [model.chunks[i].length for i in idx],
         )
         for i in missing:
             if rebuilt is not None:
@@ -526,7 +328,7 @@ def _repair_stream(blob: bytes) -> tuple[bytes, RepairReport]:
             for g in range(n_groups)
         )
     else:
-        parity_out = bytes(pbytes).ljust(int(k * plens.sum()), b"\0")
+        parity_out = pbytes.ljust(k * sum(plens), b"\0")
     out.put("parity", parity_out)
     out.put("payload", b"".join(final))
 

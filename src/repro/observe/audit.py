@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from repro.observe.quality import (
     quality_enabled,
     record_quality_snapshot,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stream import StreamModel
 
 __all__ = [
     "AuditReport",
@@ -565,23 +569,21 @@ def _recheck_safeguards(
 
 
 def _audit_one(
-    chunk_blob: bytes, original: np.ndarray | None, index: int | None
+    model: "StreamModel", original: np.ndarray | None, index: int | None
 ) -> ChunkAudit:
     """Audit one self-contained (non-CHUNKED) stream."""
     from repro import decompress
-    from repro.encoding.container import Container
-    from repro.report import stream_bound
 
-    box = Container.from_bytes(chunk_blob)
-    recon = decompress(chunk_blob)
-    kind, value = stream_bound(box)
+    box = model.box
+    recon = decompress(model.blob)
+    kind, value = model.bound
     flat = recon.ravel()
     zeros = int((flat == 0).sum())
     negatives = int((flat < 0).sum())
 
     effective_ba = theorem2_ba = lemma2_ba = None
     lemma2_ok = None
-    patched = int(box.get_u64("n_patch")) if "n_patch" in box else None
+    patched = model.patched
     if kind == "rel" and "ba" in box and "base" in box and value is not None:
         effective_ba = box.get_f64("ba")
         theorem2_ba, lemma2_ba = lemma2_recomputed(
@@ -589,12 +591,9 @@ def _audit_one(
         )
         lemma2_ok = bool(effective_ba <= lemma2_ba)
 
-    safeguards = None
+    safeguards = model.safeguards if model.codec == "SAFE" else None
     safeguard_violations = None
-    if box.codec == "SAFE" and "safeguards" in box:
-        safeguards = tuple(
-            s for s in box.get_str("safeguards").split(";") if s.strip()
-        )
+    if safeguards is not None:
         if original is not None:
             safeguard_violations = _recheck_safeguards(
                 safeguards, original, recon
@@ -630,7 +629,7 @@ def _audit_one(
 
     return ChunkAudit(
         index=index,
-        codec=box.codec,
+        codec=model.codec,
         n=int(flat.size),
         bound_kind=kind,
         bound_value=value,
@@ -652,7 +651,7 @@ def _audit_one(
 
 
 def audit_stream(
-    blob: bytes,
+    blob: "bytes | StreamModel",
     original: np.ndarray | None = None,
     check_theorem3: bool = True,
 ) -> AuditReport:
@@ -664,30 +663,34 @@ def audit_stream(
     sentinel/sign/patch statistics).  Theorem 3's cross-base index
     deviation runs when the original is strictly positive (the analysis
     is stated on positive data) and the stream carries a relative bound.
+    ``blob`` may also be a :func:`repro.stream.parse_stream` model, so a
+    view that already parsed the stream does not parse it again.
     """
-    from repro.core.chunked import ChunkedCompressor, iter_chunk_blobs
-    from repro.encoding.container import Container
+    from repro.encoding.container import ContainerError
+    from repro.stream import StreamModel, parse_stream
 
-    box = Container.from_bytes(blob)
+    model = blob if isinstance(blob, StreamModel) else parse_stream(blob)
+    model.raise_defects()
     notes: list[str] = []
     if original is not None:
         original = np.asarray(original)
 
     chunks: list[ChunkAudit] = []
-    if box.codec == ChunkedCompressor.name:
-        elems = box.get_array("elems").astype(np.int64)
-        starts = np.concatenate([[0], np.cumsum(elems)])
+    if model.codec == "CHUNKED":
+        starts = np.concatenate([[0], np.cumsum([rec.elems for rec in model.chunks])])
         flat = original.ravel() if original is not None else None
         if flat is not None and flat.size != int(starts[-1]):
             raise ValueError(
                 f"original has {flat.size} elements, stream reconstructs "
                 f"{int(starts[-1])}"
             )
-        for i, chunk_blob in enumerate(iter_chunk_blobs(blob)):
+        for i, rec in enumerate(model.chunks):
+            if rec.stream is None:
+                raise ContainerError(f"chunk {i}: bytes missing from payload")
             part = flat[starts[i] : starts[i + 1]] if flat is not None else None
-            chunks.append(_audit_one(chunk_blob, part, i))
+            chunks.append(_audit_one(rec.stream, part, i))
     else:
-        chunks.append(_audit_one(blob, original, None))
+        chunks.append(_audit_one(model, original, None))
 
     rel_chunks = [c for c in chunks if c.bound_kind == "rel"]
     theorem3 = None
@@ -706,10 +709,5 @@ def audit_stream(
         notes.append("stream carries no recoverable native bound")
 
     return AuditReport.from_chunks(
-        chunks, codec=box.codec, theorem3=theorem3, notes=tuple(notes)
+        chunks, codec=model.codec, theorem3=theorem3, notes=tuple(notes)
     )
-
-
-# Keep the dataclass import from being flagged as unused when only
-# asdict is exercised at runtime.
-_ = field

@@ -593,7 +593,7 @@ class ByteNode:
             if node.kind == "damaged":
                 what = node.note or "unreadable bytes"
                 notes.append(f"{what} at bytes [{node.start}, {node.stop})")
-            elif node.note and node is self and "missing" in node.note:
+            elif node.note and node is self:
                 notes.append(node.note)
         return notes
 
@@ -670,32 +670,6 @@ def _tile(start: int, stop: int, children: list[ByteNode]) -> tuple[ByteNode, ..
     return tuple(out)
 
 
-#: Attribution kind per known section key; anything absent is small typed
-#: metadata.  Section *payload* bytes only -- framing and CRCs have their
-#: own kinds.
-_KEY_KINDS = {
-    "payload": "payload",
-    "inner": "payload",  # refined to a nested tree when it parses
-    "codes": "entropy",  # refined into table/offsets/bits below
-    "escq": "outliers",
-    "patch_idx": "patch",
-    "patch_val": "patch",
-    "signs": "signs",
-    "parity": "parity",
-    "coeffs": "coefficients",
-    "selector": "coefficients",
-    "emax": "coefficients",
-    "remainders": "coefficients",
-    "classes": "coefficients",
-    "eb_block": "coefficients",
-    "offs": "chunk-table",
-    "lens": "chunk-table",
-    "elems": "chunk-table",
-    "parity_lens": "chunk-table",
-    "index": "chunk-table",
-}
-
-
 def _attr_entropy(blob: bytes, s: int, t: int, off: int, name: str, deflated: bool) -> ByteNode:
     """Split a Huffman blob into code-length table, chunk offsets, packed bits.
 
@@ -733,179 +707,87 @@ def _attr_entropy(blob: bytes, s: int, t: int, off: int, name: str, deflated: bo
     return ByteNode(name, "entropy", a, off + t, _tile(a, off + t, kids))
 
 
-def _attr_chunked_payload(blob: bytes, s: int, t: int, off: int, box) -> ByteNode:
-    """Recurse into each chunk container of a CHUNKED payload section."""
-    a, b = off + s, off + t
-    try:
-        offs = box.get_array("offs").tolist()
-        lens = box.get_array("lens").tolist()
-    except Exception:  # noqa: BLE001 - corrupt geometry degrades, never raises
-        return _leaf("payload", "payload", a, b, "chunk table unreadable")
-    kids = []
-    for i, (coff, ln) in enumerate(zip(offs, lens)):
-        cs, ct = s + int(coff), s + int(coff) + int(ln)
-        if cs < s or ct > t or ct < cs:
-            break
-        kids.append(attribute_bytes(blob[cs:ct], offset=off + cs, name=f"chunk[{i}]"))
-    return ByteNode("payload", "chunks", a, b, _tile(a, b, kids))
+def _payload_node(model, sec, offset: int) -> ByteNode:
+    """Attribute one section payload of ``model``; nodes at ``offset + local``."""
+    from repro.encoding.container import _MAGIC, StreamError
+    from repro.stream import _KEY_KINDS, _parse
 
-
-def _attr_parity(blob: bytes, s: int, t: int, off: int, box) -> ByteNode:
-    """Split the RS parity section into per-group blocks."""
-    a, b = off + s, off + t
-    try:
-        plens = [int(v) for v in box.get_array("parity_lens")]
-    except Exception:  # noqa: BLE001
-        return _leaf("parity", "parity", a, b)
-    if sum(plens) != t - s:
-        return _leaf("parity", "parity", a, b, "parity_lens disagrees with section size")
-    kids, cursor = [], a
-    for g, ln in enumerate(plens):
-        kids.append(_leaf(f"parity[{g}]", "parity", cursor, cursor + ln))
-        cursor += ln
-    return ByteNode("parity", "parity", a, b, _tile(a, b, kids))
-
-
-def _classify_payload(
-    codec: str, key: str, blob: bytes, s: int, t: int, off: int, box
-) -> ByteNode:
-    """Attribute one section payload at ``blob[s:t]``; nodes at ``off + local``."""
-    from repro.encoding.container import _MAGIC
-
-    if key == "inner" and t - s >= 4 and blob[s : s + 4] == _MAGIC:
-        return attribute_bytes(blob[s:t], offset=off + s, name="inner")
+    key, s, t = sec.key, sec.payload_start, sec.payload_stop
+    a, b = offset + s, offset + t
+    if key == "inner" and model.blob[s : s + 4] == _MAGIC:
+        return byte_tree(_parse(model.blob[s:t]), a, "inner")
     if key == "codes":
-        deflated = False
-        if box is not None and "stage3" in box:
-            try:
-                deflated = box.get_u64("stage3") == 1
-            except Exception:  # noqa: BLE001
-                deflated = False
-        return _attr_entropy(blob, s, t, off, key, deflated)
-    if codec == "CHUNKED" and key == "payload" and box is not None:
-        return _attr_chunked_payload(blob, s, t, off, box)
-    if codec == "CHUNKED" and key == "parity" and box is not None:
-        return _attr_parity(blob, s, t, off, box)
-    return _leaf(key, _KEY_KINDS.get(key, "metadata"), off + s, off + t)
+        try:
+            deflated = "stage3" in model.box and model.box.get_u64("stage3") == 1
+        except StreamError:
+            deflated = False
+        return _attr_entropy(model.blob, s, t, offset, key, deflated)
+    if key.startswith("field:") and model.fields is not None:
+        return byte_tree(model.fields[key[len("field:") :]], a, key)
+    if model.codec == "CHUNKED" and key == "payload":
+        if model.table_problems and not model.chunks:
+            return _leaf(key, "payload", a, b, "chunk table unreadable")
+        kids = [
+            byte_tree(rec.stream, a + rec.offset, f"chunk[{rec.index}]")
+            for rec in model.chunks
+            if rec.stream is not None
+        ]
+        return ByteNode(key, "chunks", a, b, _tile(a, b, kids))
+    if key == "parity" and model.parity is not None:
+        kids, cursor = [], a
+        for g, plen in enumerate(model.parity.lens):
+            size = model.parity.k * plen
+            kids.append(_leaf(f"parity[{g}]", "parity", cursor, cursor + size))
+            cursor += size
+        return ByteNode(key, "parity", a, b, _tile(a, b, kids))
+    return _leaf(key, _KEY_KINDS.get(key, "metadata"), a, b)
+
+
+def byte_tree(model, offset: int = 0, name: str = "stream") -> ByteNode:
+    """Exhaustive byte-attribution tree of a :class:`repro.stream.StreamModel`.
+
+    Recurses into chunk, field and nested ``inner`` streams and never
+    raises: bytes the walk could not read become ``damaged`` leaves.
+    """
+    n = model.nbytes
+    end = offset + n
+    if model.header_end == 0:
+        return ByteNode(name, "damaged", offset, end, (), model.damage[1])
+    note = f"magic+version+codec({model.codec})+nsec" if model.codec else None
+    children = [_leaf("header", "framing", offset, offset + model.header_end, note)]
+    for sec in model.sections.values():
+        a, p = offset + sec.start, offset + sec.payload_start
+        if sec.truncated == "payload":
+            children.append(_leaf(f"{sec.key}.frame", "framing", a, p))
+            break
+        kids = [
+            _leaf(f"{sec.key}.frame", "framing", a, p),
+            _payload_node(model, sec, offset),
+        ]
+        b = offset + sec.stop
+        if sec.stop > sec.payload_stop:
+            kids.append(_leaf(f"{sec.key}.crc", "checksum", offset + sec.payload_stop, b))
+        children.append(ByteNode(sec.key, "section", a, b, _tile(a, b, kids)))
+    if model.checksummed and model.damage is None:
+        children.append(_leaf("stream.crc", "checksum", end - 4, end))
+    root_note = None
+    if model.damage is not None:
+        pos, why = model.damage
+        if pos < n:
+            children.append(_leaf("unparsed", "damaged", offset + pos, end, why))
+        else:
+            root_note = why
+    return ByteNode(name, "container", offset, end, _tile(offset, end, children), root_note)
 
 
 def attribute_bytes(blob: bytes, offset: int = 0, name: str = "stream") -> ByteNode:
-    """Decompose container bytes into an exhaustive byte-attribution tree.
+    """Exhaustive byte-attribution tree of ``blob`` (see :func:`byte_tree`).
 
-    Walks the v1--v4 framing by hand (same layout the header-peek parsers
-    in ``repro.decompress`` rely on) without verifying checksums, so it
-    works on streams :class:`Container` would reject.  Never raises:
-    structurally unreadable regions become ``damaged`` leaves and the tree
-    still tiles ``[0, len(blob))`` exactly.  ``offset`` shifts all
-    coordinates (used when recursing into nested containers).
+    Never raises; ``offset`` shifts all coordinates.
     """
-    from repro.encoding.codecs import read_varint
-    from repro.encoding.container import _CRC_BYTES, _KNOWN_VERSIONS, _MAGIC, Container, StreamError
+    from repro.stream import parse_stream
 
-    blob = bytes(blob)
-    n = len(blob)
-    end = offset + n
-
-    def leaf(nm, kind, s, t, note=None):
-        return _leaf(nm, kind, offset + s, offset + t, note)
-
-    if n == 0:
-        return ByteNode(name, "damaged", offset, end, (), "empty stream")
-    if n < 5 or blob[:4] != _MAGIC:
-        return ByteNode(name, "damaged", offset, end, (), "bad magic: not a repro container")
-    version = blob[4]
-    if version not in _KNOWN_VERSIONS:
-        return ByteNode(
-            name, "damaged", offset, end, (), f"unsupported container version {version}"
-        )
-    crc = _CRC_BYTES if version >= 2 else 0
-    children: list[ByteNode] = []
-
-    def finish(note: str | None = None) -> ByteNode:
-        return ByteNode(name, "container", offset, end, _tile(offset, end, children), note)
-
-    def bail(pos: int, why: str) -> ByteNode:
-        children.append(leaf("unparsed", "damaged", pos, n, why))
-        return finish()
-
-    try:
-        k, pos = read_varint(blob, 5)
-        if pos + k > n:
-            raise ValueError("truncated codec name")
-        codec = blob[pos : pos + k].decode("utf-8", "replace")
-        pos += k
-        nsec, pos = read_varint(blob, pos)
-    except ValueError as exc:
-        children.append(leaf("header", "framing", 0, min(5, n)))
-        return bail(min(5, n), f"truncated header: {exc}")
-    children.append(leaf("header", "framing", 0, pos, f"magic+version+codec({codec})+nsec"))
-
-    # The typed accessors (chunk geometry, stage-3 flag) come from a
-    # damage-tolerant parse; attribution itself never needs it to succeed.
-    try:
-        box = Container.from_bytes(blob, verify_checksums=False, partial=True)
-    except StreamError:
-        box = None
-
-    for _ in range(nsec):
-        sec_start = pos
-        try:
-            klen, p = read_varint(blob, pos)
-            if p + klen > n:
-                raise ValueError("truncated section key")
-            key = blob[p : p + klen].decode("utf-8", "replace")
-            p += klen
-            plen, p = read_varint(blob, p)
-        except ValueError as exc:
-            return bail(sec_start, f"truncated section header: {exc}")
-        pay_start, pay_end = p, p + plen
-        if pay_end > n:
-            children.append(leaf(f"{key}.frame", "framing", sec_start, pay_start))
-            return bail(pay_start, f"truncated section {key!r} payload")
-        sec_children = [
-            leaf(f"{key}.frame", "framing", sec_start, pay_start),
-            _classify_payload(codec, key, blob, pay_start, pay_end, offset, box),
-        ]
-        pos = pay_end
-        if crc:
-            if pos + crc > n:
-                children.append(
-                    ByteNode(
-                        key,
-                        "section",
-                        offset + sec_start,
-                        offset + pos,
-                        _tile(offset + sec_start, offset + pos, sec_children),
-                    )
-                )
-                return bail(pos, f"truncated checksum of section {key!r}")
-            sec_children.append(leaf(f"{key}.crc", "checksum", pos, pos + crc))
-            pos += crc
-        children.append(
-            ByteNode(
-                key,
-                "section",
-                offset + sec_start,
-                offset + pos,
-                _tile(offset + sec_start, offset + pos, sec_children),
-            )
-        )
-
-    note = None
-    if crc:
-        if n - pos == crc:
-            children.append(leaf("stream.crc", "checksum", pos, n))
-            pos = n
-        elif pos == n:
-            note = "missing stream CRC trailer (truncated)"
-        elif n - pos < crc:
-            children.append(leaf("stream.crc", "damaged", pos, n, "truncated stream CRC trailer"))
-            pos = n
-    if pos != n:
-        children.append(
-            leaf("trailing", "damaged", pos, n, f"{n - pos} unexpected trailing bytes")
-        )
-    return finish(note)
+    return byte_tree(parse_stream(blob), offset, name)
 
 
 def section_kind_map(tree: ByteNode) -> dict[str, str]:
@@ -1088,72 +970,30 @@ def explain_stream(
     so the report carries the per-chunk max-error anomalies and the
     point-wise quality summary.
     """
-    from repro.encoding.container import Container, StreamError, peek_codec
+    from repro.stream import parse_stream
 
-    blob = bytes(blob)
-    tree = attribute_bytes(blob)
+    model = parse_stream(blob)
+    tree = byte_tree(model)
     notes = [f"StreamError: {note}" for note in tree.damage_notes()]
-
-    codec: str | None = None
-    version: int | None = None
-    try:
-        codec = peek_codec(blob)
-        version = blob[4]
-    except StreamError as exc:
-        note = f"StreamError: {exc}"
-        if note not in notes:
-            notes.append(note)
-
-    box = None
-    if codec is not None:
-        try:
-            box = Container.from_bytes(blob, verify_checksums=False, partial=True)
-        except StreamError as exc:
-            notes.append(f"StreamError: {exc}")
-
-    if codec is not None:
-        # Attribution walks structure with checksums off so damaged
-        # streams still tile; a corrupt payload behind intact framing
-        # would then read as "OK".  Run the integrity pass (structure +
-        # stream/section/chunk CRCs, no decompression) and surface its
-        # problems as StreamError notes so ``ok`` means what `repro
-        # verify` means.
-        from repro.integrity import verify_stream
-
-        for problem in verify_stream(blob).problems:
-            note = f"StreamError: {problem}"
-            if note not in notes:
-                notes.append(note)
-
+    notes += [f"StreamError: {problem}" for problem in model.problems]
+    kind, value = model.bound
     report = ExplainReport(
-        codec=codec,
-        version=version,
-        nbytes=len(blob),
+        codec=model.codec,
+        version=model.version,
+        nbytes=model.nbytes,
         tree=tree,
         kind_totals=tree.kind_totals(),
+        rel_bound=value if kind == "rel" else None,
+        ladder=model.ladder,
         notes=notes,
         mad_k=mad_k,
     )
-
     itemsize = None
-    if box is not None:
-        try:
-            if "dtype" in box and "shape" in box:
-                dtype = box.get_dtype("dtype")
-                shape = box.get_shape("shape")
-                itemsize = dtype.itemsize
-                report.decoded_nbytes = int(np.prod(shape, dtype=np.int64)) * itemsize
-                if len(blob):
-                    report.ratio = report.decoded_nbytes / len(blob)
-        except StreamError:
-            pass
-        try:
-            from repro.report import stream_bound
-
-            kind, value = stream_bound(box)
-            report.rel_bound = value if kind == "rel" else None
-        except Exception:  # noqa: BLE001 - bound recovery is best-effort here
-            report.rel_bound = None
+    if model.dtype is not None and model.shape is not None:
+        itemsize = model.dtype.itemsize
+        report.decoded_nbytes = math.prod(model.shape) * itemsize
+        if model.nbytes:
+            report.ratio = report.decoded_nbytes / model.nbytes
 
     # Per-chunk geometry (CHUNKED streams): size + ratio per chunk, plus
     # the codec that actually compressed each chunk when the stream was
@@ -1161,42 +1001,18 @@ def explain_stream(
     # to handle is flagged as a "fallback" anomaly: the bytes are valid
     # and the bound holds, but the operator should know the primary codec
     # failed there.
-    if box is not None and codec == "CHUNKED":
-        chunk_codecs: list[str] = []
-        primary = None
-        try:
-            if "chunk_codecs" in box:
-                chunk_codecs = [
-                    c for c in box.get_str("chunk_codecs").split(";") if c
-                ]
-            if "ladder" in box:
-                report.ladder = box.get_str("ladder")
-                primary = report.ladder.split(">")[0]
-            elif chunk_codecs:
-                primary = chunk_codecs[0]
-        except StreamError:
-            pass
-        try:
-            lens = [int(v) for v in box.get_array("lens")]
-            elems = [int(v) for v in box.get_array("elems")]
-            for i, (ln, ne) in enumerate(zip(lens, elems)):
-                rec = {"index": i, "nbytes": ln, "elems": ne}
-                if itemsize and ln:
-                    rec["ratio"] = ne * itemsize / ln
-                if i < len(chunk_codecs):
-                    rec["codec"] = chunk_codecs[i]
-                    if primary is not None and chunk_codecs[i] != primary:
-                        report.anomalies.append(
-                            {
-                                "index": i,
-                                "metric": "fallback",
-                                "value": chunk_codecs[i],
-                                "deviation": 0.0,
-                            }
-                        )
-                report.chunks.append(rec)
-        except StreamError:
-            notes.append("StreamError: chunk table unreadable")
+    for rec in model.chunks:
+        entry = {"index": rec.index, "nbytes": rec.length, "elems": rec.elems}
+        if itemsize and rec.length:
+            entry["ratio"] = rec.elems * itemsize / rec.length
+        if rec.codec is not None:
+            entry["codec"] = rec.codec
+            if rec.codec != model.primary:
+                report.anomalies.append(
+                    {"index": rec.index, "metric": "fallback", "value": rec.codec,
+                     "deviation": 0.0}
+                )
+        report.chunks.append(entry)
 
     # Offline audit + quality when the original field is available.
     audit = None
@@ -1204,7 +1020,7 @@ def explain_stream(
         from repro.observe.audit import audit_stream
 
         try:
-            audit = audit_stream(blob, np.asarray(original), check_theorem3=check_theorem3)
+            audit = audit_stream(model, np.asarray(original), check_theorem3=check_theorem3)
             report.audit_ok = audit.ok
             summary = getattr(audit, "error_summary", None)
             if summary:
@@ -1214,7 +1030,7 @@ def explain_stream(
                     report.chunks[i]["max_rel_err"] = chunk.max_rel
                 elif not report.chunks and len(audit.chunks) == 1:
                     break
-        except (StreamError, ValueError) as exc:
+        except ValueError as exc:  # StreamError, or a mismatched original
             notes.append(f"StreamError: audit failed: {exc}")
 
     # Anomaly flags: ratio and (when audited) max relative error per chunk.

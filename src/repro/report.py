@@ -23,11 +23,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.encoding.container import Container, ContainerError
+from repro.encoding.container import ContainerError
 from repro.metrics import bit_rate, compression_ratio, psnr, relative_psnr
 from repro.metrics.distribution import ErrorDistribution, error_distribution
 from repro.metrics.error import ErrorStats, bounded_fraction
 from repro.observe.metrics import metrics as _metrics
+from repro.stream import _BOUND_KEYS, parse_stream, stream_bound  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.chunked import RecoveryReport
@@ -41,69 +42,6 @@ __all__ = [
     "quality_report",
     "stream_bound",
 ]
-
-#: Container keys holding each codec's native bound, with its kind.
-#: Kinds: "abs"/"rel" are error bounds the stream guarantees point-wise;
-#: "prec" (bit precision) and "rate" (bits/value) parameterize fidelity
-#: without a point-wise guarantee, so reports show them but never grade
-#: errors against them.  GZIP (lossless) and CHUNKED (delegates to its
-#: per-chunk inner streams) intentionally have no entry.
-_BOUND_KEYS = {
-    "SZ_ABS": ("eb", "abs"),
-    "SZ2_ABS": ("eb", "abs"),
-    "SZ3_ABS": ("eb", "abs"),
-    "ZFP_A": ("param", "abs"),
-    "ZFP_P": ("param", "prec"),
-    "ZFP_R": ("param", "rate"),
-    "FPZIP": ("precision", "prec"),
-    "SZ_PWR": ("br", "rel"),
-    "ISABELA": ("br", "rel"),
-    "SZ_T": ("br", "rel"),
-    "SZ2_T": ("br", "rel"),
-    "SZ3_T": ("br", "rel"),
-    "ZFP_T": ("br", "rel"),
-    "NAIVE_T": ("br", "rel"),
-}
-
-#: Codecs whose bound parameter is stored as an integer section (u64)
-#: rather than a float; reading those via ``get_f64`` would silently
-#: reinterpret the bits.
-_U64_BOUND_CODECS = frozenset({"FPZIP"})
-
-
-def stream_bound(box: Container) -> tuple[str | None, float | None]:
-    """``(kind, value)`` of the native bound a container carries.
-
-    ``(None, None)`` when the codec has no recoverable bound (lossless,
-    CHUNKED wrappers) or the expected section is absent.  SAFE streams
-    derive their bound from the declared safeguards: a relative-error
-    safeguard outranks an absolute one; other kinds carry no error bound.
-    """
-    if box.codec == "SAFE":
-        if "safeguards" not in box:
-            return None, None
-        from repro.safeguards.kinds import parse_safeguard
-
-        guards = []
-        for spec in box.get_str("safeguards").split(";"):
-            if not spec.strip():
-                continue
-            try:
-                guards.append(parse_safeguard(spec))
-            except ValueError:
-                continue
-        for kind in ("rel", "abs"):
-            for sg in guards:
-                if sg.kind == kind:
-                    return kind, float(sg.value)
-        return None, None
-    key = _BOUND_KEYS.get(box.codec)
-    if key is None or key[0] not in box:
-        return None, None
-    if box.codec in _U64_BOUND_CODECS:
-        return key[1], float(box.get_u64(key[0]))
-    return key[1], box.get_f64(key[0])
-
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -177,7 +115,8 @@ class StreamStats:
     #: Damage-recovery outcome when ``build_report(tolerate_corruption=True)``
     #: had to fall back to partial decoding; None on a clean decode.
     recovery: "RecoveryReport | None" = None
-    #: Declared safeguard specs and patch count of a SAFE (v4) stream.
+    #: Declared safeguard specs of a SAFE (v4) stream; patch-channel size of
+    #: any stream that has one.
     safeguards: tuple[str, ...] | None = None
     patched: int | None = None
     #: Bytes per attribution kind (entropy table vs payload, outliers,
@@ -298,69 +237,35 @@ def build_report(blob: bytes, tolerate_corruption: bool = False) -> StreamStats:
     decode_s = time.perf_counter() - t0
     delta = reg.diff(before)
 
-    box = Container.from_bytes(
-        blob, verify_checksums=False, partial=tolerate_corruption
-    )
-    n_chunks = inner_codec = parity = None
-    safeguards = patched = None
-    ladder = codec_mix = degraded = None
-    if box.codec == "CHUNKED" and "n_chunks" in box:
-        n_chunks = box.get_u64("n_chunks")
-        if "inner_codec" in box:
-            inner_codec = box.get_str("inner_codec")
-        if "parity_k" in box and "group_size" in box:
-            parity = (box.get_u64("parity_k"), box.get_u64("group_size"))
-        if "ladder" in box:
-            ladder = box.get_str("ladder")
-        if "chunk_codecs" in box:
-            codecs = [c for c in box.get_str("chunk_codecs").split(";") if c]
-            codec_mix = {}
-            for c in codecs:
-                codec_mix[c] = codec_mix.get(c, 0) + 1
-            primary = (ladder.split(">") if ladder else codecs)[0] if codecs else None
-            degraded = sum(n for c, n in codec_mix.items() if c != primary)
-    if box.codec == "SAFE":
-        if "safeguards" in box:
-            safeguards = tuple(
-                s for s in box.get_str("safeguards").split(";") if s.strip()
-            )
-        if "inner_codec" in box:
-            inner_codec = box.get_str("inner_codec")
-        if "n_patch" in box:
-            patched = int(box.get_u64("n_patch"))
-    crc = delta.get("crc.verify_s")
-    kind_totals = section_kinds = None
-    try:
-        from repro.observe.quality import attribute_bytes, section_kind_map
+    from repro.observe.quality import byte_tree, section_kind_map
 
-        tree = attribute_bytes(blob)
-        kind_totals = tree.kind_totals()
-        section_kinds = section_kind_map(tree)
-    except Exception:  # noqa: BLE001 - attribution is descriptive, never fatal
-        pass
+    model = parse_stream(blob)
+    tree = byte_tree(model)
+    crc = delta.get("crc.verify_s")
+    parity = model.parity
     return StreamStats(
-        codec=box.codec,
-        version=box.version,
+        codec=model.codec,
+        version=model.version,
         nbytes=len(blob),
         shape=recon.shape,
         dtype=recon.dtype.name,
         decoded_nbytes=recon.nbytes,
         ratio=compression_ratio(recon.nbytes, len(blob)),
-        sections={key: len(box.get(key)) for key in box.keys()},
-        n_chunks=n_chunks,
-        inner_codec=inner_codec,
-        parity=parity,
+        sections={key: sec.nbytes for key, sec in model.sections.items()},
+        n_chunks=model.n_chunks,
+        inner_codec=model.inner_codec,
+        parity=(parity.k, parity.group_size) if parity is not None else None,
         decode_s=decode_s,
         crc_verify_s=float(crc["value"]) if crc else 0.0,
         metrics=delta,
         recovery=recovery,
-        safeguards=safeguards,
-        patched=patched,
-        kind_totals=kind_totals,
-        section_kinds=section_kinds,
-        ladder=ladder,
-        codec_mix=codec_mix,
-        degraded_chunks=degraded,
+        safeguards=model.safeguards,
+        patched=model.patched,
+        kind_totals=tree.kind_totals(),
+        section_kinds=section_kind_map(tree),
+        ladder=model.ladder,
+        codec_mix=model.codec_mix,
+        degraded_chunks=model.degraded,
     )
 
 
@@ -384,7 +289,7 @@ def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
     """Full quality assessment of ``blob`` against ``original``."""
     from repro import decompress
 
-    box = Container.from_bytes(blob)
+    model = parse_stream(blob)
     recon = decompress(blob)
     original = np.asarray(original)
     if recon.shape != original.shape:
@@ -393,7 +298,7 @@ def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
         )
 
     errors = dist = None
-    bound_kind, bound_value = stream_bound(box)
+    bound_kind, bound_value = model.bound
     if bound_kind == "abs":
         # abs-bound codecs: stats against the absolute bound directly
         errors = _abs_stats(original, recon, bound_value)
@@ -409,7 +314,7 @@ def quality_report(original: np.ndarray, blob: bytes) -> QualityReport:
     # guarantee: report the knob, grade nothing against it.
 
     return QualityReport(
-        codec=box.codec,
+        codec=model.codec,
         original_nbytes=original.nbytes,
         compressed_nbytes=len(blob),
         ratio=compression_ratio(original.nbytes, len(blob)),

@@ -252,8 +252,9 @@ def run_decompress_job(
 
 
 def _finish_decompress(journal: JobJournal, resumed: bool) -> JobResult:
-    from repro.core.chunked import ChunkedCompressor, iter_chunk_blobs
-    from repro.encoding.container import Container, peek_codec
+    from repro.core.chunked import ChunkedCompressor
+    from repro.encoding.container import peek_codec
+    from repro.stream import read_chunk_table
 
     header = journal.header
     out_path = header["output"]
@@ -271,9 +272,10 @@ def _finish_decompress(journal: JobJournal, resumed: bool) -> JobResult:
         journal.record_commit(nbytes=recon.nbytes)
         journal.remove()
         return JobResult(out_path, recon.nbytes, 1, redone=1, resumed=resumed)
-    box = Container.from_bytes(stream)
-    shape, dtype = box.get_shape("shape"), box.get_dtype("dtype")
-    chunk_blobs = list(iter_chunk_blobs(stream))
+    box, shape, dtype = ChunkedCompressor._open_container(stream, "CHUNKED")
+    offs, lens, _ = read_chunk_table(box, shape)
+    payload = box.get("payload")
+    chunk_blobs = [payload[o : o + ln] for o, ln in zip(offs, lens)]
     n = len(chunk_blobs)
     chunked = ChunkedCompressor(
         executor="thread", workers=int(header.get("workers") or 1)

@@ -33,7 +33,7 @@ from .engine import (
     put_patch_sections,
     read_patch_sections,
 )
-from .adapter import SafeguardedCompressor, read_stream_safeguards
+from .adapter import SafeguardedCompressor
 
 __all__ = [
     "Safeguard",
@@ -55,5 +55,4 @@ __all__ = [
     "read_patch_sections",
     "apply_patch_sections",
     "SafeguardedCompressor",
-    "read_stream_safeguards",
 ]

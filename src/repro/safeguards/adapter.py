@@ -20,7 +20,7 @@ from repro.compressors.base import (
     ErrorBound,
     get_compressor,
 )
-from repro.encoding.container import Container, ContainerError, peek_codec
+from repro.encoding.container import ContainerError, peek_codec
 from repro.observe.events import emit as _emit_event
 from repro.observe.metrics import metrics
 from repro.observe.tracer import span
@@ -89,10 +89,7 @@ class SafeguardedCompressor(Compressor):
         return self._compress_impl(data, bound)[0]
 
     def compress_verified(self, data: np.ndarray, bound: ErrorBound):
-        with span("compress", codec=self.name) as sp:
-            blob, final = self._compress_impl(data, bound)
-            sp.add_bytes(in_=data.nbytes, out=len(blob))
-        return blob, final
+        return self._compress_impl(data, bound)
 
     def _compress_impl(self, data: np.ndarray, bound: ErrorBound) -> tuple[bytes, np.ndarray]:
         inner = self.inner
@@ -266,9 +263,3 @@ class SafeguardedCompressor(Compressor):
             apply_patch_sections(flat, box, dtype, self.name)
         return flat.reshape(shape)
 
-
-def read_stream_safeguards(box: Container) -> tuple[Safeguard, ...]:
-    """Parse the declared safeguards of a SAFE container (audit/report use)."""
-    from .kinds import parse_safeguards
-
-    return parse_safeguards(box.get_str("safeguards"))

@@ -38,7 +38,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from repro.encoding.container import Container, ContainerError, section_byte_ranges
+from repro.encoding.container import Container, ContainerError
+from repro.stream import StreamModel, parse_stream
 
 __all__ = [
     "CrashingExecutor",
@@ -93,48 +94,53 @@ def truncate(blob: bytes, keep: int | float) -> bytes:
     return blob[:keep]
 
 
+def _model(blob: bytes) -> StreamModel:
+    """The :func:`parse_stream` model; raises if the framing is unreadable."""
+    model = parse_stream(blob)
+    model.raise_defects(checksums=False)
+    return model
+
+
 def drop_section(blob: bytes, key: str) -> bytes:
     """Remove a named section and re-serialize (checksums made valid again).
 
     Models a buggy writer rather than wire damage: the resulting stream
     is self-consistent, so only structural validation can reject it.
     """
-    box = Container.from_bytes(blob, verify_checksums=False)
-    if key not in box:
+    model = _model(blob)
+    if key not in model.sections:
         raise ContainerError(f"stream has no section {key!r} to drop")
-    out = Container(box.codec)
-    out.version = box.version
-    for k in box.keys():
+    out = Container(model.codec)
+    for k in model.sections:
         if k != key:
-            out.put(k, box.get(k))
-    return out.to_bytes(checksums=box.version >= 2, version=box.version)
+            out.put(k, model.box.get(k))
+    return out.to_bytes(checksums=model.checksummed, version=model.version)
 
 
 def corrupt_section(blob: bytes, key: str, n_bits: int = 1, seed: int = 0) -> bytes:
     """Flip ``n_bits`` random bits inside the named section's payload."""
-    ranges = section_byte_ranges(blob)
-    if key not in ranges:
+    sec = _model(blob).sections.get(key)
+    if sec is None:
         raise ContainerError(f"stream has no section {key!r} to corrupt")
-    start, stop = ranges[key]
-    if stop == start:
+    if not sec.nbytes:
         raise ValueError(f"section {key!r} is empty; nothing to corrupt")
-    return flip_random_bits(blob, n=n_bits, seed=seed, start=start, stop=stop)
+    return flip_random_bits(
+        blob, n=n_bits, seed=seed, start=sec.payload_start, stop=sec.payload_stop
+    )
 
 
 def corrupt_chunk(blob: bytes, index: int, n_bits: int = 1, seed: int = 0) -> bytes:
     """Flip ``n_bits`` random bits inside chunk ``index`` of a CHUNKED stream."""
-    box = Container.from_bytes(blob, verify_checksums=False)
-    if box.codec != "CHUNKED":
-        raise ContainerError(f"stream is {box.codec!r}, not CHUNKED")
-    offs = box.get_array("offs").astype(np.int64)
-    lens = box.get_array("lens").astype(np.int64)
-    if not 0 <= index < offs.size:
-        raise ValueError(f"chunk index {index} outside table of {offs.size} chunks")
-    pstart, _ = section_byte_ranges(blob)["payload"]
-    start = pstart + int(offs[index])
-    return flip_random_bits(
-        blob, n=n_bits, seed=seed, start=start, stop=start + int(lens[index])
-    )
+    model = _model(blob)
+    if model.codec != "CHUNKED":
+        raise ContainerError(f"stream is {model.codec!r}, not CHUNKED")
+    if not 0 <= index < len(model.chunks):
+        raise ValueError(
+            f"chunk index {index} outside table of {len(model.chunks)} chunks"
+        )
+    rec = model.chunks[index]
+    start = model.sections["payload"].payload_start + rec.offset
+    return flip_random_bits(blob, n=n_bits, seed=seed, start=start, stop=start + rec.length)
 
 
 def corrupt_safeguards(blob: bytes, n_bits: int = 1, seed: int = 0) -> bytes:
@@ -147,13 +153,13 @@ def corrupt_safeguards(blob: bytes, n_bits: int = 1, seed: int = 0) -> bytes:
     must raise a clean ``StreamError``; a guaranteed property silently not
     holding is the one failure mode the safeguards layer may never have.
     """
-    box = Container.from_bytes(blob, verify_checksums=False)
-    if box.codec != "SAFE":
-        raise ContainerError(f"stream is {box.codec!r}, not SAFE")
+    model = _model(blob)
+    if model.codec != "SAFE":
+        raise ContainerError(f"stream is {model.codec!r}, not SAFE")
     targets = [
         key
         for key in ("safeguards", "patch_idx", "patch_val", "n_patch")
-        if key in box and len(box.get(key))
+        if key in model.sections and model.sections[key].nbytes
     ]
     if not targets:
         raise ValueError("stream has no non-empty safeguard sections to corrupt")

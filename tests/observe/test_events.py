@@ -128,3 +128,39 @@ class TestSpanCorrelation:
         np.testing.assert_allclose(
             comp.decompress(blob), data, rtol=1e-2
         )
+
+
+class TestCompressSpans:
+    def test_one_compress_span_and_event_per_codec_level(self, tmp_path):
+        """SAFE over SZ_T over SZ_ABS: every level opens exactly one
+        ``compress`` span -- whether entered through ``compress`` or
+        ``compress_verified`` -- and emits one ``compress`` event."""
+        from repro.observe.tracer import enable_tracing, get_tracer
+        from repro.safeguards import SafeguardedCompressor
+
+        data = np.exp(np.random.default_rng(0).normal(0, 1, 4096)).astype(np.float32)
+        path = str(tmp_path / "levels.jsonl")
+        install_event_log(path)
+        enable_tracing(True)
+        try:
+            with get_tracer().capture() as spans:
+                SafeguardedCompressor("SZ_T", ["rel:1e-3"]).compress(
+                    data, RelativeBound(1e-3)
+                )
+        finally:
+            enable_tracing(False)
+            install_event_log(None)
+
+        levels = []
+
+        def visit(sp):
+            if sp.name == "compress":
+                levels.append(sp.attrs["codec"])
+            for child in sp.children:
+                visit(child)
+
+        for sp in spans:
+            visit(sp)
+        assert levels == ["SAFE", "SZ_T", "SZ_ABS"]
+        events = [r["codec"] for r in read_events(path) if r["event"] == "compress"]
+        assert sorted(events) == sorted(levels)

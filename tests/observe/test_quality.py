@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Container, RelativeBound, compress
+from repro.archive import compress_dataset
 from repro.core.chunked import ChunkedCompressor
 from repro.observe.quality import (
     ErrorHistogram,
@@ -162,6 +163,9 @@ def _streams(field):
         "SZ_T", chunk_bytes=1 << 14, executor="serial", parity=2
     )
     safe = SafeguardedCompressor("SZ_T", ["rel:1e-3"])
+    ladder = ChunkedCompressor(
+        "SZ_T", chunk_bytes=1 << 14, executor="serial", policy="ladder=SZ_T>GZIP"
+    )
     return {
         "sz_v2": sz,
         "sz_v1": _v1(sz),
@@ -169,6 +173,10 @@ def _streams(field):
         "parity_v3": parity.compress(field, RelativeBound(BOUND)),
         "safe_v4": safe.compress(field, RelativeBound(BOUND)),
         "zfp_v2": compress(field, RelativeBound(BOUND), "ZFP_T"),
+        "ladder_v2": ladder.compress(field, RelativeBound(BOUND)),
+        "archive_v2": compress_dataset(
+            {"head": field[:8000], "tail": field[8000:]}, RelativeBound(BOUND)
+        ),
     }
 
 
@@ -284,3 +292,156 @@ class TestExplain:
         blob = compress(field, RelativeBound(BOUND), "SZ_T")
         payload = json.dumps(explain_stream(blob, field).to_dict())
         assert "attribution" in payload
+
+
+def _info_facts(path, capsys) -> dict:
+    """Facts ``repro-compress info`` prints, parsed back from its text."""
+    import ast
+    import re
+
+    from repro.cli import main
+
+    assert main(["info", path]) == 0
+    lines = dict(
+        line.split(":", 1)
+        for line in capsys.readouterr().out.splitlines()
+        if ":" in line and not line.startswith(" ")
+    )
+    facts = {
+        "codec": lines["codec"].strip(),
+        "version": int(lines["format"].split()[0][1:]),
+    }
+    if "shape" in lines:
+        facts["shape"] = ast.literal_eval(lines["shape"].strip())
+    if "chunks" in lines:
+        facts["n_chunks"] = int(lines["chunks"])
+    if "ladder" in lines:
+        facts["ladder"] = lines["ladder"].strip()
+    if "codec mix" in lines:
+        mix, _, fell = lines["codec mix"].partition("(")
+        facts["codec_mix"] = {
+            c: int(n) for n, c in (part.strip().split("x ") for part in mix.split(","))
+        }
+        facts["degraded"] = int(fell.split()[0]) if fell else 0
+    if "parity" in lines:
+        k, m = re.search(r"k=(\d+) per group of (\d+)", lines["parity"]).groups()
+        facts["parity"] = (int(k), int(m))
+    if "safeguards" in lines:
+        facts["safeguards"] = tuple(s.strip() for s in lines["safeguards"].split(";"))
+        facts["patched"] = int(lines["patched"].split()[0])
+    return facts
+
+
+def _stats_facts(blob) -> dict:
+    from repro.report import build_report
+
+    st = build_report(blob)
+    facts = {"codec": st.codec, "version": st.version, "shape": st.shape,
+             "n_chunks": st.n_chunks, "ladder": st.ladder, "codec_mix": st.codec_mix,
+             "degraded": st.degraded_chunks, "parity": st.parity,
+             "safeguards": st.safeguards}
+    if st.safeguards is not None:
+        facts["patched"] = st.patched
+    return {k: v for k, v in facts.items() if v is not None}
+
+
+def _verify_facts(blob) -> dict:
+    import re
+
+    from repro.integrity import verify_stream
+
+    rep = verify_stream(blob)
+    assert rep.ok, rep.problems
+    facts = {"codec": rep.codec, "version": rep.version}
+    if rep.n_chunks is not None:
+        facts["n_chunks"] = rep.n_chunks
+    for note in rep.notes:
+        if m := re.search(r"k=(\d+) per group of (\d+)", note):
+            facts["parity"] = (int(m[1]), int(m[2]))
+        if m := re.match(r"(\d+) of \d+ chunk\(s\) were compressed by a fallback", note):
+            facts["degraded"] = int(m[1])
+    return facts
+
+
+def _explain_facts(blob) -> dict:
+    from collections import Counter
+
+    rep = explain_stream(blob)
+    assert rep.ok, rep.notes
+    facts = {"codec": rep.codec, "version": rep.version}
+    if rep.codec == "CHUNKED":
+        facts["n_chunks"] = len(rep.chunks)
+    if rep.ladder is not None:
+        facts["ladder"] = rep.ladder
+    if any("codec" in c for c in rep.chunks):
+        facts["codec_mix"] = dict(Counter(c["codec"] for c in rep.chunks))
+        facts["degraded"] = sum(a["metric"] == "fallback" for a in rep.anomalies)
+    return facts
+
+
+class TestOneStreamModel:
+    """Every read-only view renders the one ``parse_stream`` model."""
+
+    def test_views_agree_on_every_stream(self, field, tmp_path, capsys):
+        from repro.stream import parse_stream
+
+        streams = _streams(field)
+        # Every chunk falls back: ZFP_P cannot honour a relative bound.
+        streams["degraded_v2"] = ChunkedCompressor(
+            "ZFP_P", chunk_bytes=1 << 14, executor="serial", policy="ladder=ZFP_P>GZIP"
+        ).compress(field, RelativeBound(BOUND))
+        for label, blob in streams.items():
+            path = tmp_path / f"{label}.rpz"
+            path.write_bytes(blob)
+            views = {
+                "info": _info_facts(str(path), capsys),
+                "verify": _verify_facts(blob),
+                "explain": _explain_facts(blob),
+            }
+            if not label.startswith("archive"):  # an archive decodes per field
+                views["stats"] = _stats_facts(blob)
+            model = parse_stream(blob)
+            keys = set().union(*views.values())
+            for key in keys:
+                seen = {name: facts[key] for name, facts in views.items() if key in facts}
+                assert len(seen) >= 2 or key == "version", (label, key, seen)
+                assert len(set(map(repr, seen.values()))) == 1, (label, key, seen)
+            info = views["info"]
+            assert info["codec"] == model.codec and info["version"] == model.version
+            if model.codec == "CHUNKED":
+                assert info["n_chunks"] == len(model.chunks) > 1, label
+        assert views["info"]["codec"] == "CHUNKED"
+        assert views["info"]["degraded"] == views["info"]["n_chunks"]
+
+    def test_each_read_only_command_parses_once(self, field, tmp_path, capsys):
+        from repro import decompress
+        from repro.cli import main
+        from repro.observe.metrics import metrics
+
+        streams = _streams(field)
+        path, orig = str(tmp_path / "p.rpz"), str(tmp_path / "field.f32")
+        with open(path, "wb") as fh:
+            fh.write(streams["parity_v3"])
+        field.tofile(orig)
+        original = ["--original", orig, "--shape", str(field.size)]
+        commands = [
+            ["info", path],
+            ["stats", path],
+            ["verify", path],
+            ["explain", path],
+            ["explain", path, *original],
+            ["audit", path],
+            ["audit", path, *original],
+            ["repair", path, str(tmp_path / "fixed.rpz")],
+        ]
+        parses = metrics().counter("stream.parse")
+        for argv in commands:
+            before = parses.value
+            assert main(argv) == 0, argv
+            assert parses.value - before == 1, argv
+        capsys.readouterr()
+        before = parses.value
+        for label, blob in streams.items():
+            if not label.startswith("archive"):
+                decompress(blob)
+        assert parses.value == before  # decoding never builds the model

@@ -56,3 +56,34 @@ class TestArchive:
             decompress_dataset(plain)
         with pytest.raises(ValueError, match="archive"):
             archive_manifest(plain)
+
+
+class TestArchiveViews:
+    def test_info_lists_every_field(self, fields, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "snap.rpz"
+        path.write_bytes(compress_dataset(fields, RelativeBound(1e-2)))
+        assert main(["info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "codec:  ARCHIVE" in out
+        manifest = archive_manifest(path.read_bytes())
+        for name, entry in manifest.items():
+            assert (
+                f"field {name}: {entry['codec']} {entry['shape']} "
+                f"{entry['dtype']}, {entry['nbytes']} B"
+            ) in out
+
+    def test_attribution_recurses_into_fields(self, fields):
+        from repro.observe.quality import attribute_bytes, section_kind_map
+
+        blob = compress_dataset(fields, RelativeBound(1e-2))
+        tree = attribute_bytes(blob)
+        tree.check_exhaustive()
+        sections = {c.name: c for c in tree.children if c.kind == "section"}
+        for name in fields:
+            payload = sections[f"field:{name}"].children[1]
+            assert payload.kind == "container"
+            assert payload.children[0].note == "magic+version+codec(SZ_T)+nsec"
+        kinds = section_kind_map(tree)
+        assert all(kinds[f"field:{name}"].startswith("entropy") for name in fields)

@@ -87,3 +87,70 @@ class TestBitFlips:
     def test_swapped_codec_rejected(self, payloads):
         with pytest.raises(ACCEPTABLE):
             get_compressor("ZFP_A").decompress(payloads["SZ_ABS"])
+
+
+def _flip_msb(blob, key, last=False):
+    """Set/clear the top bit of the first (or last) payload byte of ``key``."""
+    from repro.encoding.container import section_byte_ranges
+    from repro.testing.faults import flip_bit
+
+    start, stop = section_byte_ranges(blob)[key]
+    return flip_bit(blob, 8 * (stop - 1 if last else start))
+
+
+@pytest.fixture(scope="module")
+def ladder_blob(smooth_positive_3d):
+    from repro.core.chunked import ChunkedCompressor
+
+    comp = ChunkedCompressor(
+        "SZ_T", chunk_bytes=1 << 14, executor="serial", policy="ladder=SZ_T>GZIP"
+    )
+    return comp.compress(smooth_positive_3d, RelativeBound(1e-2))
+
+
+class TestMalformedMetadata:
+    """One flipped byte in a typed metadata section is damage to report,
+    never a raw ``ValueError``/``UnicodeDecodeError``/``struct.error``."""
+
+    def test_typed_accessors_raise_container_error(self):
+        from repro.encoding.container import Container, ContainerError
+
+        box = Container("X")
+        box.put("shape", b"\x03\x18\x18\x98")  # last varint never ends
+        box.put("text", b"\xd3Z")
+        box.put("short", b"\x01\x02\x03")
+        for call in (
+            lambda: box.get_shape("shape"),
+            lambda: box.get_str("text"),
+            lambda: box.get_u64("short"),
+            lambda: box.get_i64("short"),
+            lambda: box.get_f64("short"),
+        ):
+            with pytest.raises(ContainerError):
+                call()
+
+    def test_shape_flip_is_a_verify_problem_on_chunked(self, ladder_blob):
+        from repro import verify_stream
+
+        report = verify_stream(_flip_msb(ladder_blob, "shape", last=True))
+        assert not report.ok
+        assert any("'shape'" in p for p in report.problems)
+
+    @pytest.mark.parametrize("name", ["SZ_T", "ZFP_T"])
+    def test_shape_flip_explains_as_damaged(self, smooth_positive_3d, tmp_path, capsys, name):
+        from repro.cli import main
+
+        blob = get_compressor(name).compress(smooth_positive_3d, RelativeBound(1e-2))
+        path = tmp_path / "bad.rpz"
+        path.write_bytes(_flip_msb(blob, "shape", last=True))
+        assert main(["explain", str(path)]) == 2
+        assert "status: **DAMAGED**" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["ladder", "chunk_codecs"])
+    def test_ladder_record_flip_explains_as_damaged(self, ladder_blob, key):
+        from repro.observe.quality import explain_stream
+
+        report = explain_stream(_flip_msb(ladder_blob, key))
+        assert not report.ok
+        assert any(key in note for note in report.notes)
+        report.format()
